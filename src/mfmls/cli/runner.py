@@ -26,7 +26,7 @@ from ..errors import ConfigError, MfmlsError
 from ..geometry.cloud import PointCloud, save_csv
 from ..mls import MlsConfig, mls_evaluate, noise_study, shape_function_matrix
 from ..polybasis import basis_size, hilbert_dim_hypersurface
-from ..rbf import InterpSystem, KernelSpec, power_rate_study
+from ..rbf import KernelSpec, power_rate_study
 from .config import ExperimentConfig
 
 _EVAL_SEED_OFFSET = 999983
@@ -373,21 +373,16 @@ def cmd_power(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
     study = power_rate_study(
         spec, cfg.surface.surface, cfg.cardinalities, cfg.seed
     )
-    # Re-derive the per-level site/probe clouds with the same seed offsets
-    # power_rate_study uses, so the emitted fields match the fitted study.
-    for i, n in enumerate(cfg.cardinalities):
-        sites = cfg.surface.sample(n, cfg.seed + 1000 * i)
-        probes = cfg.surface.sample(8 * n, cfg.seed + 1000 * i + 500)
-        system = InterpSystem(spec, sites)
+    for n, level in zip(study.site_counts, study.levels):
         _field_csv(
             os.path.join(out_dir, f"power_field_N{n}.csv"),
-            probes.points,
-            system.power_values(probes.points),
+            level.probes.points,
+            level.probe_power,
         )
         _field_csv(
             os.path.join(out_dir, f"power_sites_N{n}.csv"),
-            sites.points,
-            system.power_values(sites.points),
+            level.sites.points,
+            level.system.power_values(level.sites.points),
         )
     summary = {
         "kernel_order": cfg.kernel_order,

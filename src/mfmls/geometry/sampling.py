@@ -24,6 +24,13 @@ from .surface import AlgebraicSurface, project_points
 _BAND_REL = 0.15
 # Candidates drawn per chunk during rejection sampling.
 _CHUNK = 1 << 21
+# Accepted draws are Newton-projected this many at a time, in draw order,
+# until the candidate pool is full.
+_PROJECT_BATCH = 1 << 13
+# Separation calibration: multiplicative radius updates, then bisection steps
+# between bracketing radii if those did not settle.
+_RESCALE_PASSES = 6
+_BISECT_PASSES = 24
 # Hard cap on raw draws, as a multiple of the candidate target, to guarantee
 # termination when a surface barely intersects its bounding box.
 _MAX_DRAW_FACTOR = 20_000
@@ -71,15 +78,19 @@ def _shell_candidates(
         # Shell thickness scales like 1/|grad P|; thin the thick (flat) parts
         # so the surface density of accepted draws is approximately constant.
         raw = raw[u * grad_cap < gnorm]
-        if len(raw) == 0:
-            continue
-        pts, ok = project_points(surface, raw, on_fail="mask")
-        pts = pts[ok]
-        if within is not None:
-            pts = pts[within.contains(pts)]
-        if len(pts):
-            kept.append(pts)
-            n_kept += len(pts)
+        # Projection is row-independent, so projecting the accepted draws in
+        # order and stopping once the pool is full keeps the same prefix.
+        for start in range(0, len(raw), _PROJECT_BATCH):
+            pts, ok = project_points(
+                surface, raw[start:start + _PROJECT_BATCH], on_fail="mask")
+            pts = pts[ok]
+            if within is not None:
+                pts = pts[within.contains(pts)]
+            if len(pts):
+                kept.append(pts)
+                n_kept += len(pts)
+            if n_kept >= n_cand:
+                break
     out = np.concatenate(kept)[:n_cand]
     return np.ascontiguousarray(out)
 
@@ -222,6 +233,38 @@ def _initial_radius(cands: np.ndarray, n_target: int) -> float:
     return math.sqrt(0.69 * area / n_target)
 
 
+def _calibrated_packing(cands: np.ndarray, n_target: int) -> np.ndarray:
+    """Greedy packing of ``cands`` with within 8% of ``n_target`` points.
+
+    The separation radius is rescaled by sqrt(count / n_target) for up to
+    ``_RESCALE_PASSES`` passes. When the count keeps jumping across the
+    window instead, the radius is bisected between the largest radius that
+    gave too many points and the smallest that gave too few.
+    """
+    radius = _initial_radius(cands, n_target)
+    too_small, too_large = 0.0, math.inf
+    for calib_pass in range(_RESCALE_PASSES + _BISECT_PASSES):
+        idx = _greedy_thin(cands, radius)
+        if abs(len(idx) - n_target) <= 0.08 * n_target:
+            return idx
+        if len(idx) == len(cands):
+            raise SamplingFailed(
+                "candidate pool too small for the requested cardinality; "
+                "increase oversample"
+            )
+        if len(idx) > n_target:
+            too_small = max(too_small, radius)
+        else:
+            too_large = min(too_large, radius)
+        if calib_pass + 1 < _RESCALE_PASSES:
+            radius *= math.sqrt(len(idx) / n_target)
+        elif 0.0 < too_small < too_large < math.inf:
+            radius = 0.5 * (too_small + too_large)
+        else:
+            break
+    raise SamplingFailed(f"separation calibration did not settle near {n_target} points")
+
+
 def sample_quasi_uniform(
     surface: AlgebraicSurface,
     n_target: int,
@@ -281,24 +324,7 @@ def sample_quasi_uniform(
             cloud.separation = np.inf
             return cloud
 
-        radius = _initial_radius(cands, n_target)
-        idx = None
-        for _ in range(6):
-            idx = _greedy_thin(cands, radius)
-            if abs(len(idx) - n_target) <= 0.08 * n_target:
-                break
-            if len(idx) == len(cands):
-                raise SamplingFailed(
-                    "candidate pool too small for the requested cardinality; "
-                    "increase oversample"
-                )
-            radius *= math.sqrt(len(idx) / n_target)
-        else:
-            raise SamplingFailed(
-                f"separation calibration did not settle near {n_target} points"
-            )
-
-        pts = cands[idx]
+        pts = cands[_calibrated_packing(cands, n_target)]
         cloud = PointCloud(pts)
         d, _ = cloud.tree.query(cands, k=1)
         cloud.fill_distance = float(d.max())

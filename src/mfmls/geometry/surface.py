@@ -15,21 +15,42 @@ from ..errors import GradientTooSmall, ProjectionDiverged
 GRADIENT_FLOOR = 1e-8
 
 
+#: Rows per block in _poly_eval. Its scratch (the power table and one term
+#: buffer) is sized to one block, a few MB, whatever the number of points.
+_EVAL_BLOCK = 1 << 14
+
+
 def _poly_eval(exponents, coeffs, pts, dtype=np.float64):
-    """Evaluate sum_t c_t * prod_j x_j^a_tj at each point, via power tables."""
+    """Evaluate sum_t c_t * prod_j x_j^a_tj at each point, via power tables.
+
+    Rows are evaluated in blocks of ``_EVAL_BLOCK``. Every row sees the same
+    terms in the same order and the same multiplications, so the result does
+    not depend on the block size.
+    """
     pts = np.asarray(pts, dtype=dtype)
     npts, nvars = pts.shape
     maxdeg = int(exponents.max())
-    powers = np.ones((nvars, maxdeg + 1, npts), dtype=dtype)
-    for e in range(1, maxdeg + 1):
-        powers[:, e] = powers[:, e - 1] * pts.T
     out = np.zeros(npts, dtype=dtype)
-    for alpha, c in zip(exponents, coeffs):
-        term = np.full(npts, dtype.type(c) if hasattr(dtype, "type") else c, dtype=dtype)
-        for j in range(nvars):
-            if alpha[j]:
-                term *= powers[j, alpha[j]]
-        out += term
+    rows = min(npts, _EVAL_BLOCK)
+    # powers[j, e] holds x_j^e for the rows of the current block; powers[:, 1]
+    # is the block itself, transposed to be contiguous per variable.
+    powers = np.ones((nvars, maxdeg + 1, rows), dtype=dtype)
+    term = np.empty(rows, dtype=dtype)
+    factors = [[(j, int(a)) for j, a in enumerate(alpha) if a] for alpha in exponents]
+    for start in range(0, npts, _EVAL_BLOCK):
+        block = pts[start:start + _EVAL_BLOCK]
+        b = len(block)
+        pw, t = powers[:, :, :b], term[:b]
+        if maxdeg:
+            pw[:, 1] = block.T
+        for e in range(2, maxdeg + 1):
+            np.multiply(pw[:, e - 1], pw[:, 1], out=pw[:, e])
+        acc = out[start:start + b]
+        for factor, c in zip(factors, coeffs):
+            t.fill(c)
+            for j, a in factor:
+                t *= pw[j, a]
+            acc += t
     return out
 
 

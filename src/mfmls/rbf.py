@@ -210,6 +210,16 @@ def power_field(spec: KernelSpec, sites, eval_points) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class PowerLevel:
+    """One density level of a rate study: its clouds, system and probe power."""
+
+    sites: PointCloud
+    probes: PointCloud
+    system: InterpSystem
+    probe_power: np.ndarray
+
+
+@dataclass(frozen=True)
 class PowerRateStudy:
     """Least-squares fit of log sup-P against log fill distance."""
 
@@ -218,6 +228,7 @@ class PowerRateStudy:
     sup_power: np.ndarray
     slope: float
     residual: float
+    levels: tuple[PowerLevel, ...]
 
 
 def power_rate_study(
@@ -235,7 +246,8 @@ def power_rate_study(
     ``probe_factor`` times denser. The reported slope is the least-squares
     fit of log(sup P) against log(h) over the ladder, with h the fill
     distance of the site cloud; ``residual`` is the RMS of the log-log fit
-    residuals.
+    residuals. ``levels`` keeps each level's clouds, factorized system and
+    power values at the probes.
 
     Parameters
     ----------
@@ -259,16 +271,18 @@ def power_rate_study(
         raise TooFewLevels(
             f"rate study needs at least 3 density levels, got {len(counts)}"
         )
-    fills = np.empty(len(counts))
-    sups = np.empty(len(counts))
+    levels = []
     for i, n in enumerate(counts):
         sites = sample_quasi_uniform(surface, n, seed=seed + 1000 * i)
         probes = sample_quasi_uniform(
             surface, probe_factor * n, seed=seed + 1000 * i + 500
         )
         system = InterpSystem(spec, sites)
-        fills[i] = sites.fill_distance
-        sups[i] = system.power_values(probes.points).max()
+        levels.append(
+            PowerLevel(sites, probes, system, system.power_values(probes.points))
+        )
+    fills = np.array([level.sites.fill_distance for level in levels])
+    sups = np.array([level.probe_power.max() for level in levels])
     coeffs, ssr, *_ = np.polyfit(np.log(fills), np.log(sups), 1, full=True)
     residual = math.sqrt(float(ssr[0]) / len(counts)) if len(ssr) else 0.0
     return PowerRateStudy(
@@ -277,4 +291,5 @@ def power_rate_study(
         sup_power=sups,
         slope=float(coeffs[0]),
         residual=residual,
+        levels=tuple(levels),
     )

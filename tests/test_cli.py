@@ -16,6 +16,7 @@ import pytest
 from mfmls.cli.config import TARGETS, parse_config
 from mfmls.cli.main import main, resolve_threads
 from mfmls.errors import ConfigError
+from mfmls.geometry.sampling import sample_quasi_uniform
 from mfmls.geometry.presets import cyclide_patch_center
 from mfmls.mls import select_delta
 from mfmls.polybasis import basis_size
@@ -428,7 +429,18 @@ def test_noise_requires_sigma_and_trials(tmp_path, capsys):
 
 # --- power -----------------------------------------------------------------------
 
-def test_power_outputs(tmp_path):
+def test_power_outputs(tmp_path, monkeypatch):
+    import mfmls.cli.config
+    import mfmls.rbf
+
+    sampled = []
+
+    def counting_sampler(surface, n, seed, **kwargs):
+        sampled.append((n, seed))
+        return sample_quasi_uniform(surface, n, seed, **kwargs)
+
+    for module in (mfmls.rbf, mfmls.cli.config):
+        monkeypatch.setattr(module, "sample_quasi_uniform", counting_sampler)
     cfg_path = write_config(
         tmp_path,
         surface={"preset": "torus"},
@@ -448,6 +460,8 @@ def test_power_outputs(tmp_path):
     assert site_vals.max() <= 1e-6 * math.sqrt(phi0)
     _, field_rows = _read_csv_rows(out / "power_field_N30.csv")
     assert len(field_rows) > 150  # probes are 8x denser than sites
+    # One site and one probe cloud per level; the CSVs reuse the study's.
+    assert len(sampled) == 6
 
 
 def test_power_requires_kernel_order(tmp_path, capsys):

@@ -314,3 +314,16 @@ def test_power_rate_study_deterministic():
     assert np.array_equal(a.sup_power, b.sup_power)
     assert np.array_equal(a.fill_distances, b.fill_distances)
     assert a.slope == b.slope
+
+
+def test_power_rate_study_keeps_its_levels():
+    study = power_rate_study(KernelSpec(2), sphere(), [30, 60, 120], seed=3)
+    assert len(study.levels) == 3
+    for n, h, sup, level in zip(study.site_counts, study.fill_distances,
+                                study.sup_power, study.levels):
+        assert level.sites.fill_distance == h
+        assert level.probe_power.max() == sup
+        assert len(level.probes) > 6 * n  # probe_factor 8, within 10%
+        assert np.array_equal(level.system.sites, level.sites.points)
+        np.testing.assert_array_equal(
+            level.probe_power, level.system.power_values(level.probes.points))
