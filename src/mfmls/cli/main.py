@@ -7,7 +7,8 @@ Usage::
 
 ``--threads`` falls back to the ``MFMLS_THREADS`` environment variable, then
 to 1. Exit codes: 0 on full success, 1 when any cell failed (a machine-
-readable manifest lands next to the outputs), 2 for configuration errors.
+readable manifest lands next to the outputs), 2 for configuration errors
+and for an output directory that cannot be created or written.
 """
 
 from __future__ import annotations
@@ -71,6 +72,11 @@ def main(argv=None) -> int:
     except MfmlsError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        # Config and mesh reads map their OSErrors to ConfigError, so what
+        # reaches here failed on the output directory.
+        print(f"error: cannot write outputs: {exc}", file=sys.stderr)
+        return 2
     return 0 if failures == 0 else 1
 
 

@@ -61,6 +61,11 @@ def _field_csv(path, points: np.ndarray, values: np.ndarray) -> None:
     _write_csv(path, list(names) + ["value"], rows)
 
 
+#: Exceptions that fail one cell (and land in the manifest) instead of the run.
+#: numpy's LinAlgError is the class scipy.linalg raises too.
+_CELL_ERRORS = (MfmlsError, np.linalg.LinAlgError)
+
+
 def _run_cells(labels, fn, threads: int):
     """Run fn(label) for each label; return (result | exception) per label.
 
@@ -72,7 +77,7 @@ def _run_cells(labels, fn, threads: int):
         for label in labels:
             try:
                 out.append(fn(label))
-            except MfmlsError as exc:
+            except _CELL_ERRORS as exc:
                 out.append(exc)
         return out
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -81,7 +86,7 @@ def _run_cells(labels, fn, threads: int):
         for fut in futures:
             try:
                 out.append(fut.result())
-            except MfmlsError as exc:
+            except _CELL_ERRORS as exc:
                 out.append(exc)
         return out
 

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from .errors import (
@@ -35,6 +36,10 @@ _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 
 #: Relative diagonal jitter ladder tried when the Gram factorization fails.
 _JITTER_LADDER = (0.0, 1e-12, 1e-10)
+
+#: Kernel entries (2 MB of floats) per row block when the Gram matrix is built
+#: or probes are evaluated, so working memory does not grow with the rows.
+_KERNEL_BLOCK = 2**18
 
 
 @dataclass(frozen=True)
@@ -87,11 +92,30 @@ def matern_eval(spec: KernelSpec, r):
         sqrt(pi/2) * exp(-r) * sum_k c_k 2^-k r^(n-k). At ``r = 0`` this is
         the finite limit (the ``k = n`` term). Strictly decreasing in ``r``.
     """
-    r = np.asarray(r, dtype=float)
+    r = np.array(r, dtype=float)
     if np.any(r < 0):
         raise ValueError("matern_eval requires r >= 0")
+    return _matern_inplace(spec, r)[()]
+
+
+def _matern_inplace(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
+    """Overwrite the radii ``r >= 0`` with the kernel values and return ``r``.
+
+    The arithmetic is that of sqrt(pi/2) * exp(-r) * polyval(coeffs, r) term
+    by term (Horner from the leading coefficient), so for finite ``r`` the
+    values are bit-identical to evaluating that expression, with one
+    temporary of ``r``'s size instead of several.
+    """
     coeffs = _poly_coefficients(spec.n)
-    return _SQRT_HALF_PI * np.exp(-r) * np.polyval(coeffs, r)
+    poly = np.full_like(r, coeffs[0])
+    for c in coeffs[1:]:
+        poly *= r
+        poly += c
+    np.negative(r, out=r)
+    np.exp(r, out=r)
+    r *= _SQRT_HALF_PI
+    r *= poly
+    return r
 
 
 def _phi_zero(spec: KernelSpec) -> float:
@@ -125,29 +149,29 @@ class InterpSystem:
 
     def __init__(self, spec: KernelSpec, sites):
         pts = _as_site_array(sites)
-        if len(pts) == 0:
+        n = len(pts)
+        if n == 0:
             raise ValueError("InterpSystem needs at least one site")
-        dists = cdist(pts, pts)
-        if len(pts) > 1:
-            off_diag = dists[~np.eye(len(pts), dtype=bool)]
-            if off_diag.min() == 0.0:
-                raise DuplicateSites("two interpolation sites coincide")
-        # Fill the upper triangle and mirror so K is exactly symmetric.
-        upper = np.triu(matern_eval(spec, dists))
-        gram = upper + np.triu(upper, 1).T
+        if n > 1 and cKDTree(pts).query(pts, k=2)[0][:, 1].min() == 0.0:
+            raise DuplicateSites("two interpolation sites coincide")
+        gram = _symmetric_gram(spec, pts)
         phi0 = _phi_zero(spec)
+        diagonal = np.diag_indices(n)
         factor = None
         jitter = 0.0
         for rel in _JITTER_LADDER:
             jitter = rel * phi0
+            # Fortran order lets LAPACK factorize the fresh copy in place.
+            shifted = np.array(gram, order="F")
+            shifted[diagonal] += jitter
             try:
-                factor = cho_factor(gram + jitter * np.eye(len(pts)), lower=True)
+                factor = cho_factor(shifted, lower=True, overwrite_a=True)
                 break
             except LinAlgError:
                 continue
         if factor is None:
             raise FactorizationFailed(
-                f"Gram matrix of {len(pts)} sites could not be factorized "
+                f"Gram matrix of {n} sites could not be factorized "
                 f"even with jitter {_JITTER_LADDER[-1]:g} * phi(0)"
             )
         self.spec = spec
@@ -177,17 +201,50 @@ class InterpSystem:
     def power_values(self, eval_points) -> np.ndarray:
         """Power function at each row of ``eval_points``.
 
-        P(x) = sqrt(max(0, phi(0) - k_x^T K^{-1} k_x)) with k_x the kernel
-        vector of x against the sites; the max() clamps round-off just below
-        zero at (and near) the sites.
+        In the Newton basis of the sites (Pazouki & Schaback 2011) the power
+        function is
+
+            P(x)^2 = phi(0) - |L^{-1} k_x|^2,
+
+        with L the lower Cholesky factor of ``gram + jitter * I`` and k_x the
+        kernel vector of x against the sites, so each point costs one
+        triangular solve. The max(0, .) clamps round-off just below zero at
+        (and near) the sites. Rows are evaluated in blocks of about
+        ``_KERNEL_BLOCK`` kernel entries, so the memory beyond the output is
+        bounded by the block, not by the number of rows.
         """
         evals = np.asarray(eval_points, dtype=float)
         if evals.ndim == 1:
             evals = evals[None, :]
-        kx = matern_eval(self.spec, cdist(evals, self.sites))
-        sol = cho_solve(self._factor, kx.T)
-        quad = np.einsum("ij,ji->i", kx, sol)
-        return np.sqrt(np.maximum(0.0, _phi_zero(self.spec) - quad))
+        phi0 = _phi_zero(self.spec)
+        rows = max(1, _KERNEL_BLOCK // len(self.sites))
+        out = np.empty(len(evals))
+        for start in range(0, len(evals), rows):
+            kx = matern_eval(self.spec, cdist(evals[start:start + rows], self.sites))
+            v = solve_triangular(self.factor, kx.T, lower=True, overwrite_b=True,
+                                 check_finite=False)
+            out[start:start + rows] = phi0 - np.einsum("ij,ij->j", v, v)
+        return np.sqrt(np.maximum(0.0, out, out=out), out=out)
+
+
+def _symmetric_gram(spec: KernelSpec, pts: np.ndarray) -> np.ndarray:
+    """Gram matrix phi(|p_i - p_j|) built in the distance buffer.
+
+    Row blocks are evaluated in place, and the upper triangle is mirrored
+    onto the lower so K is exactly symmetric; apart from the distances, only
+    block-sized temporaries are allocated.
+    """
+    gram = cdist(pts, pts)
+    n = len(gram)
+    rows = max(1, _KERNEL_BLOCK // n)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        _matern_inplace(spec, gram[start:stop])
+        gram[start:stop, :start] = gram[:start, start:stop].T
+        square = gram[start:stop, start:stop]
+        i, j = np.tril_indices(stop - start, -1)
+        square[i, j] = square[j, i]
+    return gram
 
 
 def power_function(spec: KernelSpec, sites, x) -> float:

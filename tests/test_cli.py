@@ -506,3 +506,55 @@ def test_info_reports_dimensions(tmp_path, capsys):
         assert 0 < entry["observed_median_rank"] <= entry["restricted_dim"]
     on_disk = json.loads((out / "info.json").read_text())
     assert on_disk == info
+
+
+def test_power_byte_deterministic_across_runs_and_threads(tmp_path):
+    cfg_path = write_config(
+        tmp_path, surface={"preset": "sphere"}, cardinalities=[30, 60, 120],
+        kernel_order=3, seed=8,
+    )
+    outs = [tmp_path / "p1", tmp_path / "p2", tmp_path / "p3"]
+    for out, threads in zip(outs, ("1", "1", "2")):
+        assert main(["power", "--config", cfg_path, "--out", str(out),
+                     "--threads", threads]) == 0
+    names = sorted(os.listdir(outs[0]))
+    assert "power_rate.json" in names and len(names) == 7
+    for out in outs[1:]:
+        assert sorted(os.listdir(out)) == names
+        for name in names:
+            assert (out / name).read_bytes() == (outs[0] / name).read_bytes()
+
+
+def test_bad_out_directory_exits_2(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, surface={"preset": "torus"}, kernel_order=4)
+    not_a_dir = tmp_path / "taken"
+    not_a_dir.write_text("a regular file\n")
+    assert main(["power", "--config", cfg_path, "--out", str(not_a_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "taken" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not_a_dir.read_text() == "a regular file\n"
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_cell_linalg_error_lands_in_manifest(tmp_path, monkeypatch, threads):
+    import mfmls.cli.runner as runner
+
+    real = runner.mls_evaluate
+
+    def failing_cell(cloud, values, evals, config):
+        if config.degree == 1 and len(cloud) < 90:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real(cloud, values, evals, config)
+
+    monkeypatch.setattr(runner, "mls_evaluate", failing_cell)
+    cfg_path = write_config(tmp_path, cardinalities=[60, 120, 240], eval_count=200)
+    out = tmp_path / "conv"
+    assert main(["convergence", "--config", cfg_path, "--out", str(out),
+                 "--threads", threads]) == 1
+    _, rows = _read_csv_rows(out / "results.csv")
+    assert [row[0] for row in rows] == [
+        "m0_N60", "m0_N120", "m0_N240", "m1_N120", "m1_N240"]
+    errors = json.loads((out / "errors.json").read_text())
+    assert errors == [{"cell": "m1_N60", "error": "LinAlgError",
+                       "message": "SVD did not converge"}]

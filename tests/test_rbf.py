@@ -178,11 +178,11 @@ def test_jitter_escalation_uses_next_rung(monkeypatch, torus_sites):
     real = rbf_mod.cho_factor
     diagonals = []
 
-    def fail_once(a, lower=False):
+    def fail_once(a, lower=False, **kwargs):
         diagonals.append(a[0, 0])
         if len(diagonals) == 1:
             raise LinAlgError("forced failure")
-        return real(a, lower=lower)
+        return real(a, lower=lower, **kwargs)
 
     monkeypatch.setattr(rbf_mod, "cho_factor", fail_once)
     spec = KernelSpec(4)
@@ -204,7 +204,7 @@ def test_factorization_failed_after_ladder(monkeypatch):
 
     calls = []
 
-    def always_fail(a, lower=False):
+    def always_fail(a, lower=False, **kwargs):
         calls.append(a[0, 0])
         raise LinAlgError("forced failure")
 
