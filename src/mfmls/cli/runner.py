@@ -376,7 +376,7 @@ def cmd_power(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
     spec = KernelSpec(cfg.kernel_order)
     os.makedirs(out_dir, exist_ok=True)
     study = power_rate_study(
-        spec, cfg.surface.surface, cfg.cardinalities, cfg.seed
+        spec, cfg.surface.surface, cfg.cardinalities, cfg.seed, within=cfg.restriction
     )
     for n, level in zip(study.site_counts, study.levels):
         _field_csv(

@@ -8,11 +8,22 @@ shape-function coefficients b*(x) obtained from one thin SVD per evaluation
 point. Rank truncation of that SVD is what keeps the scheme stable when the
 cloud lies on a lower-dimensional zero set and the ambient polynomial basis
 is far from independent on it.
+
+``build_stencil`` and ``local_fit`` are the per-point routines.
+``shape_function_matrix`` does the same arithmetic for many points at once.
+It walks the evaluation points in blocks whose stencil rows fit
+``_FIT_BLOCK`` words of work space. Per block it makes one ball query, one
+weight and one Vandermonde evaluation over all stencil rows, one stacked SVD
+per stencil size and one stacked product per (size, rank), and it writes the
+rows straight into the CSR arrays. Every row is bit-identical to the
+per-point result, and the memory beyond the output is bounded by the block,
+not by the number of points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy import sparse
@@ -27,6 +38,11 @@ from .geometry.cloud import PointCloud
 from .polybasis import MonomialBasis, eval_scaled_basis
 
 _EPS = 2.0**-52
+# Words of work space per block of evaluation points: each stencil row takes
+# its Vandermonde row plus about _ROW_WORDS words of bookkeeping (indices,
+# distances, weights, the ball query's lists).
+_FIT_BLOCK = 2**18
+_ROW_WORDS = 24
 
 
 @dataclass(frozen=True)
@@ -96,9 +112,12 @@ def select_delta(
             f"cloud has {len(cloud)} points but the radius rule needs {k}"
         )
     eval_points = np.atleast_2d(np.asarray(eval_points, dtype=np.float64))
-    d, _ = cloud.tree.query(eval_points, k=k)
-    d = d if d.ndim == 2 else d[:, None]
-    return float(d[:, -1].max() * (1.0 + 1e-9))
+    rows = max(1, _FIT_BLOCK // _ROW_WORDS)
+    far = max(
+        cloud.tree.query(eval_points[lo : lo + rows], k=[k])[0].max()
+        for lo in range(0, len(eval_points), rows)
+    )
+    return float(far * (1.0 + 1e-9))
 
 
 def build_stencil(cloud: PointCloud, x, delta: float) -> np.ndarray:
@@ -197,11 +216,20 @@ def shape_function_matrix(
 
     Row i holds the coefficients b*(x_i) on the cloud, so ``B @ f``
     evaluates the approximation of samples ``f`` at all evaluation points.
+    Each row equals what ``build_stencil`` and ``local_fit`` give for that
+    point (with ``escalate_delta``, at the first radius whose fit succeeds),
+    bit for bit.
 
     Returns
     -------
     (B, diagnostics) : (scipy.sparse.csr_matrix, FitDiagnostics)
         ``B`` has shape ``(n_eval, len(cloud))``.
+
+    Raises
+    ------
+    ValueError
+        If the evaluation points have the wrong dimension or one of them is
+        not finite.
     """
     eval_points = np.atleast_2d(np.asarray(eval_points, dtype=np.float64))
     if eval_points.shape[1] != cloud.dim:
@@ -209,68 +237,152 @@ def shape_function_matrix(
             f"evaluation points have dimension {eval_points.shape[1]}, "
             f"cloud has {cloud.dim}"
         )
+    finite = np.isfinite(eval_points).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"evaluation point {i} is not finite: {eval_points[i]}")
     basis = MonomialBasis(cloud.dim, config.degree)
+    n_eval = len(eval_points)
     if config.delta is not None:
         base_delta = float(config.delta)
+    elif n_eval == 0:
+        base_delta = float("nan")
     else:
         base_delta = select_delta(
             cloud, eval_points, basis.size, config.neighbor_multiple
         )
 
-    n_eval = len(eval_points)
-    delta_used = np.full(n_eval, np.nan)
-    rank = np.zeros(n_eval, dtype=np.intp)
-    nnb = np.zeros(n_eval, dtype=np.intp)
-    cond = np.full(n_eval, np.nan)
-    leb = np.full(n_eval, np.nan)
-    failed = np.zeros(n_eval, dtype=bool)
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    data: list[np.ndarray] = []
-
-    max_attempts = 4 if config.escalate_delta else 1
-    for i, x in enumerate(eval_points):
-        delta = base_delta
-        fit = None
-        idx = None
-        for attempt in range(max_attempts):
-            try:
-                idx = build_stencil(cloud, x, delta)
-                fit = local_fit(
-                    cloud.points[idx], x, delta, basis, config.rank_threshold_factor
-                )
-                break
-            except (EmptyStencil, AllWeightsZero, DegenerateFit):
-                delta *= 2.0
-        if fit is None:
-            failed[i] = True
-            continue
-        delta_used[i] = delta if config.escalate_delta else base_delta
-        rank[i] = fit.rank
-        nnb[i] = fit.n_rows
-        cond[i] = fit.cond
-        leb[i] = np.abs(fit.weights).sum()
-        rows.append(np.full(len(idx), i, dtype=np.intp))
-        cols.append(idx)
-        data.append(fit.weights)
-
-    if rows:
-        B = sparse.csr_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n_eval, len(cloud)),
-        )
-    else:
-        B = sparse.csr_matrix((n_eval, len(cloud)))
     diag = FitDiagnostics(
         base_delta=base_delta,
-        delta=delta_used,
-        rank=rank,
-        n_neighbors=nnb,
-        cond=cond,
-        lebesgue=leb,
-        failed=failed,
+        delta=np.full(n_eval, np.nan),
+        rank=np.zeros(n_eval, dtype=np.intp),
+        n_neighbors=np.zeros(n_eval, dtype=np.intp),
+        cond=np.full(n_eval, np.nan),
+        lebesgue=np.full(n_eval, np.nan),
+        failed=np.ones(n_eval, dtype=bool),
     )
+    # Stencil sizes at the base radius plan the blocks and size the output;
+    # only rows re-fitted at a doubled radius can outgrow them.
+    counts = cloud.tree.query_ball_point(eval_points, base_delta, return_length=True)
+    indptr = np.zeros(n_eval + 1, dtype=np.int32)
+    indices = np.empty(int(counts.sum()), dtype=np.int32)
+    data = np.empty(len(indices))
+    max_attempts = 4 if config.escalate_delta else 1
+    max_rows = max(1, _FIT_BLOCK // (basis.size + _ROW_WORDS))
+    for lo, hi in _blocks(counts, max_rows):
+        todo = np.arange(lo, hi)
+        delta = np.full(hi - lo, base_delta)
+        fits = []
+        for _ in range(max_attempts):
+            fit = _fit_many(
+                cloud, eval_points[todo], delta, basis, config.rank_threshold_factor
+            )
+            ok = fit.rank > 0
+            done = todo[ok]
+            diag.delta[done] = delta[ok]
+            diag.rank[done] = fit.rank[ok]
+            diag.n_neighbors[done] = fit.n_rows[ok]
+            diag.cond[done] = fit.cond[ok]
+            diag.lebesgue[done] = fit.lebesgue[ok]
+            diag.failed[done] = False
+            fits.append((done, fit.n_rows[ok], fit.cols, fit.weights))
+            todo, delta = todo[~ok], 2.0 * delta[~ok]
+            if len(todo) == 0:
+                break
+        indptr[lo + 1 : hi + 1] = indptr[lo] + np.cumsum(diag.n_neighbors[lo:hi])
+        if indptr[hi] > len(data):
+            size = max(2 * len(data), int(indptr[hi]))
+            indices.resize(size, refcheck=False)
+            data.resize(size, refcheck=False)
+        for done, n_rows, cols, weights in fits:
+            first = np.cumsum(n_rows) - n_rows
+            dest = np.repeat(indptr[done] - first, n_rows) + np.arange(len(cols))
+            indices[dest] = cols
+            data[dest] = weights
+    nnz = int(indptr[-1])
+    indices.resize(nnz, refcheck=False)
+    data.resize(nnz, refcheck=False)
+    B = sparse.csr_matrix((data, indices, indptr), shape=(n_eval, len(cloud)))
     return B, diag
+
+
+def _blocks(counts: np.ndarray, max_rows: int):
+    """Consecutive ``(lo, hi)`` runs of points holding at most ``max_rows``
+    stencil rows in all, or a single point if it alone holds more."""
+    ends = np.cumsum(counts)
+    lo = 0
+    while lo < len(counts):
+        before = ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, before + max_rows, side="right")))
+        yield lo, hi
+        lo = hi
+
+
+@dataclass
+class _Fits:
+    """``local_fit`` results for many centres; rank 0 marks a failed fit."""
+
+    rank: np.ndarray
+    n_rows: np.ndarray
+    cond: np.ndarray
+    lebesgue: np.ndarray
+    cols: np.ndarray  # stencils of the successful centres, in centre order
+    weights: np.ndarray  # aligned with cols
+
+
+def _fit_many(
+    cloud: PointCloud,
+    centers: np.ndarray,
+    delta: np.ndarray,
+    basis: MonomialBasis,
+    rank_threshold_factor: float,
+) -> _Fits:
+    """``build_stencil`` and ``local_fit`` at each centre with its own radius.
+
+    Every floating-point step is the one ``local_fit`` takes, applied row by
+    row to all stencils at once: the same distances, weights and Vandermonde
+    rows, one stacked SVD per stencil size, and per (size, rank) one stacked
+    matrix-vector product for ``b*``. Lebesgue sums run over a contiguous
+    axis, as the 1-D sum in the per-point loop does.
+    """
+    n_pts = len(centers)
+    lists = cloud.tree.query_ball_point(centers, delta, return_sorted=True)
+    n_rows = np.fromiter(map(len, lists), dtype=np.intp, count=n_pts)
+    cols = np.fromiter(chain.from_iterable(lists), dtype=np.intp, count=n_rows.sum())
+    owner = np.repeat(np.arange(n_pts), n_rows)
+    diff = cloud.points[cols] - centers[owner]
+    r = np.linalg.norm(diff, axis=1)
+    inside = r < delta[owner]
+    cols, owner, diff, r = cols[inside], owner[inside], diff[inside], r[inside]
+    n_rows = np.bincount(owner, minlength=n_pts)
+    row_delta = delta[owner]
+    w = wendland_weight(r, row_delta)
+    sw = np.sqrt(w)
+    A = basis.eval(diff / row_delta[:, None])
+    A *= sw[:, None]
+
+    first = np.cumsum(n_rows) - n_rows
+    fittable = np.bincount(owner[w > 0.0], minlength=n_pts) > 0
+    rank = np.zeros(n_pts, dtype=np.intp)
+    cond = np.full(n_pts, np.nan)
+    leb = np.full(n_pts, np.nan)
+    weights = np.empty(len(cols))
+    for m in np.unique(n_rows[fittable]):
+        pts = np.flatnonzero(fittable & (n_rows == m))
+        rows = first[pts][:, None] + np.arange(m)
+        U, S, Vt = np.linalg.svd(A[rows], full_matrices=False)
+        threshold = rank_threshold_factor * m * S[:, 0] * _EPS
+        k_all = (S > threshold[:, None]).sum(axis=1)
+        for k in np.unique(k_all[k_all > 0]):
+            sel = np.flatnonzero(k_all == k)
+            coef = Vt[sel, :k, 0] / S[sel, :k]
+            b = sw[rows[sel]] * (U[sel, :, :k] @ coef[:, :, None])[:, :, 0]
+            weights[rows[sel]] = b
+            rank[pts[sel]] = k
+            cond[pts[sel]] = S[sel, 0] / S[sel, k - 1]
+            leb[pts[sel]] = np.abs(b).sum(axis=1)
+    kept = rank[owner] > 0
+    return _Fits(rank, n_rows, cond, leb, cols[kept], weights[kept])
 
 
 def mls_evaluate(

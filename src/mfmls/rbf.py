@@ -28,7 +28,7 @@ from .errors import (
     KernelOrderError,
     TooFewLevels,
 )
-from .geometry.cloud import PointCloud
+from .geometry.cloud import BallRestriction, PointCloud
 from .geometry.sampling import sample_quasi_uniform
 from .geometry.surface import AlgebraicSurface
 
@@ -295,6 +295,7 @@ def power_rate_study(
     seed: int,
     *,
     probe_factor: int = 8,
+    within: BallRestriction | None = None,
 ) -> PowerRateStudy:
     """Measure the decay rate of the power function under site refinement.
 
@@ -317,6 +318,8 @@ def power_rate_study(
     seed : int
         Base seed; per-level site and probe clouds use fixed offsets so the
         whole study is reproducible.
+    within : BallRestriction, optional
+        Restrict sites and probes to the open ball (a surface patch).
 
     Raises
     ------
@@ -330,9 +333,9 @@ def power_rate_study(
         )
     levels = []
     for i, n in enumerate(counts):
-        sites = sample_quasi_uniform(surface, n, seed=seed + 1000 * i)
+        sites = sample_quasi_uniform(surface, n, seed=seed + 1000 * i, within=within)
         probes = sample_quasi_uniform(
-            surface, probe_factor * n, seed=seed + 1000 * i + 500
+            surface, probe_factor * n, seed=seed + 1000 * i + 500, within=within
         )
         system = InterpSystem(spec, sites)
         levels.append(

@@ -16,6 +16,7 @@ import pytest
 from mfmls.cli.config import TARGETS, parse_config
 from mfmls.cli.main import main, resolve_threads
 from mfmls.errors import ConfigError
+from mfmls.geometry.cloud import BallRestriction
 from mfmls.geometry.sampling import sample_quasi_uniform
 from mfmls.geometry.presets import cyclide_patch_center
 from mfmls.mls import select_delta
@@ -462,6 +463,25 @@ def test_power_outputs(tmp_path, monkeypatch):
     assert len(field_rows) > 150  # probes are 8x denser than sites
     # One site and one probe cloud per level; the CSVs reuse the study's.
     assert len(sampled) == 6
+
+
+def test_power_restricted_to_patch(tmp_path):
+    cfg_path = write_config(
+        tmp_path,
+        surface={"preset": "cyclide"},
+        restriction={"center": "patch", "radius": 1.0},
+        cardinalities=[30, 45, 60],
+        kernel_order=4,
+        seed=3,
+    )
+    out = tmp_path / "power"
+    assert main(["power", "--config", cfg_path, "--out", str(out)]) == 0
+    patch = BallRestriction(cyclide_patch_center(), 1.0)
+    for n in (30, 45, 60):
+        for name in (f"power_sites_N{n}.csv", f"power_field_N{n}.csv"):
+            _, rows = _read_csv_rows(out / name)
+            pts = np.array([[float(v) for v in row[:3]] for row in rows])
+            assert len(pts) > 0 and patch.contains(pts).all(), name
 
 
 def test_power_requires_kernel_order(tmp_path, capsys):

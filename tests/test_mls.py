@@ -214,6 +214,27 @@ def test_escalation_recovers_far_point():
     assert vals[0] == pytest.approx(2.5, abs=1e-12)
 
 
+def test_no_eval_points_gives_empty_assembly():
+    cloud = PointCloud(np.random.default_rng(0).uniform(size=(30, 3)))
+    for delta in (None, 0.5):
+        B, diag = shape_function_matrix(cloud, np.zeros((0, 3)), MlsConfig(1, delta))
+        assert B.shape == (0, 30) and B.nnz == 0
+        assert len(diag.failed) == len(diag.rank) == len(diag.lebesgue) == 0
+        if delta is None:
+            assert np.isnan(diag.base_delta)
+        else:
+            assert diag.base_delta == delta
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_eval_point_rejected_up_front(bad):
+    cloud = PointCloud(np.random.default_rng(0).uniform(size=(30, 3)))
+    evals = np.full((5, 3), 0.5)
+    evals[3, 1] = bad
+    with pytest.raises(ValueError, match="evaluation point 3 is not finite"):
+        shape_function_matrix(cloud, evals, MlsConfig(degree=1, delta=0.5))
+
+
 def test_lebesgue_consistency():
     sphere = presets.sphere()
     cloud = sample_quasi_uniform(sphere, 400, seed=3)

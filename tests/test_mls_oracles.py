@@ -1,0 +1,219 @@
+"""The block walk of ``shape_function_matrix`` against the per-point loop it
+replaced (``build_stencil`` + ``local_fit`` + radius escalation), kept here as
+the oracle, and the memory bound of the walk."""
+
+import functools
+import tracemalloc
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from scipy import sparse
+
+import mfmls.mls as mls
+from mfmls.errors import AllWeightsZero, DegenerateFit, EmptyStencil, TooFewPoints
+from mfmls.geometry.cloud import PointCloud
+from mfmls.geometry.presets import cyclide
+from mfmls.geometry.sampling import sample_quasi_uniform
+from mfmls.mls import (
+    FitDiagnostics,
+    MlsConfig,
+    build_stencil,
+    local_fit,
+    select_delta,
+    shape_function_matrix,
+)
+from mfmls.polybasis import MonomialBasis
+
+SPACING = 0.25  # lattice step: dyadic, so lattice distances are exact
+
+
+def reference_shape_function_matrix(cloud, eval_points, config):
+    """One ``build_stencil`` + ``local_fit`` per evaluation point, doubling
+    the radius up to three times on failure when ``escalate_delta`` is set."""
+    eval_points = np.atleast_2d(np.asarray(eval_points, dtype=np.float64))
+    basis = MonomialBasis(cloud.dim, config.degree)
+    if config.delta is not None:
+        base_delta = float(config.delta)
+    else:
+        base_delta = select_delta(
+            cloud, eval_points, basis.size, config.neighbor_multiple
+        )
+
+    n_eval = len(eval_points)
+    delta_used = np.full(n_eval, np.nan)
+    rank = np.zeros(n_eval, dtype=np.intp)
+    nnb = np.zeros(n_eval, dtype=np.intp)
+    cond = np.full(n_eval, np.nan)
+    leb = np.full(n_eval, np.nan)
+    failed = np.zeros(n_eval, dtype=bool)
+    rows, cols, data = [], [], []
+
+    max_attempts = 4 if config.escalate_delta else 1
+    for i, x in enumerate(eval_points):
+        delta = base_delta
+        fit = None
+        idx = None
+        for attempt in range(max_attempts):
+            try:
+                idx = build_stencil(cloud, x, delta)
+                fit = local_fit(
+                    cloud.points[idx], x, delta, basis, config.rank_threshold_factor
+                )
+                break
+            except (EmptyStencil, AllWeightsZero, DegenerateFit):
+                delta *= 2.0
+        if fit is None:
+            failed[i] = True
+            continue
+        delta_used[i] = delta if config.escalate_delta else base_delta
+        rank[i] = fit.rank
+        nnb[i] = fit.n_rows
+        cond[i] = fit.cond
+        leb[i] = np.abs(fit.weights).sum()
+        rows.append(np.full(len(idx), i, dtype=np.intp))
+        cols.append(idx)
+        data.append(fit.weights)
+
+    if rows:
+        B = sparse.csr_matrix(
+            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(n_eval, len(cloud)),
+        )
+    else:
+        B = sparse.csr_matrix((n_eval, len(cloud)))
+    diag = FitDiagnostics(
+        base_delta=base_delta,
+        delta=delta_used,
+        rank=rank,
+        n_neighbors=nnb,
+        cond=cond,
+        lebesgue=leb,
+        failed=failed,
+    )
+    return B, diag
+
+
+def assert_same_assembly(got, want):
+    (B, diag), (B_ref, diag_ref) = got, want
+    assert B.shape == B_ref.shape
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(B, name), getattr(B_ref, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+    assert diag.base_delta == diag_ref.base_delta
+    for name in ("delta", "rank", "n_neighbors", "cond", "lebesgue", "failed"):
+        a, b = getattr(diag, name), getattr(diag_ref, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f"), name
+
+
+@functools.cache
+def cyclide_cloud():
+    surface = cyclide()
+    cloud = sample_quasi_uniform(surface, 300, seed=11)
+    return cloud, sample_quasi_uniform(surface, 60, seed=12).points
+
+
+@st.composite
+def lattice_case(draw):
+    """A random subset of a dyadic 6x6x6 lattice and evaluation points on
+    lattice nodes, half-steps and stencil boundaries, where ``|p - x| == delta``
+    holds exactly for some cloud points."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    grid = np.stack(np.meshgrid(*[np.arange(6.0)] * 3, indexing="ij"), -1)
+    grid = grid.reshape(-1, 3) * SPACING
+    n = draw(st.integers(40, len(grid)))
+    cloud = PointCloud(grid[rng.permutation(len(grid))[:n]])
+    delta = SPACING * draw(st.sampled_from([1, 2, 3, 4]))
+    nodes = cloud.points[rng.integers(0, n, size=draw(st.integers(1, 12)))]
+    halves = nodes + SPACING / 2
+    axis = np.eye(3)[rng.integers(0, 3, size=len(nodes))]
+    boundary = nodes + delta * axis
+    return cloud, np.vstack([nodes, halves, boundary]), delta
+
+
+@st.composite
+def assembly_case(draw):
+    if draw(st.booleans()):
+        cloud, evals, delta = draw(lattice_case())
+    else:
+        cloud, evals = cyclide_cloud()
+        delta = draw(st.sampled_from([0.4, 0.8, 1.6]))
+    degree = draw(st.integers(0, 5))
+    escalate = draw(st.booleans())
+    auto = draw(st.booleans())
+    far = draw(st.integers(0, 3))
+    if far:
+        evals = np.vstack([evals, [[40.0, -30.0, 25.0]] * far])
+    order = np.random.default_rng(draw(st.integers(0, 1000))).permutation(len(evals))
+    config = MlsConfig(
+        degree=degree,
+        delta=None if auto else delta,
+        escalate_delta=escalate,
+        rank_threshold_factor=draw(st.sampled_from([1.0, 1e6])),
+    )
+    block = draw(st.sampled_from([1, 3000, mls._FIT_BLOCK]))
+    return cloud, evals[order], config, block
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(assembly_case())
+def test_block_walk_matches_per_point_loop(case):
+    cloud, evals, config, block = case
+    with mock.patch.object(mls, "_FIT_BLOCK", block):
+        try:
+            want = reference_shape_function_matrix(cloud, evals, config)
+        except TooFewPoints:
+            with pytest.raises(TooFewPoints):
+                shape_function_matrix(cloud, evals, config)
+            return
+        got = shape_function_matrix(cloud, evals, config)
+    assert_same_assembly(got, want)
+
+
+def test_escalated_rows_outgrow_the_planned_output():
+    # Every point fails at the base radius, so all rows come from refits at
+    # doubled radii and the output arrays must grow past their planned size.
+    cloud = PointCloud(np.random.default_rng(0).uniform(size=(200, 3)))
+    evals = np.random.default_rng(1).uniform(1.3, 1.6, size=(25, 3))
+    config = MlsConfig(degree=2, delta=0.3, escalate_delta=True)
+    got = shape_function_matrix(cloud, evals, config)
+    assert not got[1].failed.any()
+    assert (got[1].delta > 0.3).all()
+    assert_same_assembly(got, reference_shape_function_matrix(cloud, evals, config))
+
+
+def _assembly_margin(cloud, evals, config):
+    """Traced peak of one assembly minus the bytes of what it returns."""
+    tracemalloc.start()
+    try:
+        B, diag = shape_function_matrix(cloud, evals, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    out = [B.data, B.indices, B.indptr, diag.delta, diag.rank, diag.n_neighbors,
+           diag.cond, diag.lebesgue, diag.failed]
+    return peak - sum(a.nbytes for a in out)
+
+
+@pytest.mark.parametrize("degree, n_small, n_large", [(5, 500, 4000), (0, 4000, 32000)])
+def test_assembly_memory_is_bounded_by_the_block(degree, n_small, n_large):
+    cloud = sample_quasi_uniform(cyclide(), 600, seed=3)
+    cloud.tree  # built outside the traced region
+    # m=5 at a radius of about 40 neighbours keeps the fits cheap; m=0 at the
+    # automatic radius has about 5, so bookkeeping, not SVDs, fills a block.
+    delta = select_delta(cloud, cloud.points, 20) if degree else None
+    config = MlsConfig(degree=degree, delta=delta)
+    small = _assembly_margin(cloud, np.resize(cloud.points, (n_small, 3)), config)
+    large = _assembly_margin(cloud, np.resize(cloud.points, (n_large, 3)), config)
+    mb = 2.0**20
+    assert small < 6 * mb, small / mb
+    assert large < 6 * mb, large / mb
+    # Only per-point arrays grow: the stencil counts, their running sum and
+    # the finiteness mask, about 20 bytes a point.
+    assert large - small < 0.25 * mb + 40 * (n_large - n_small), (large - small) / mb
