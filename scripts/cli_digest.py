@@ -1,0 +1,102 @@
+"""SHA-256 digests of every ``mfmls`` command's outputs on two small configs.
+
+Usage (from the root of a source checkout)::
+
+    PYTHONPATH=src python3 scripts/cli_digest.py > digests.txt
+
+Runs ``sample``, ``convergence``, ``lebesgue``, ``noise``, ``power`` and
+``info`` on a sphere config and a cyclide-patch config, each at
+``--threads 1`` and ``2``, inside a temporary directory. Prints one
+``sha256  config/command/tN/file`` line per output file and one for the
+command's stdout, plus a ``code  config/command/tN/exit`` line with its exit
+code. ``timings.csv`` holds wall times and is skipped. A refactor that claims
+byte-identical CLI outputs is checked by diffing this script's output at the
+parent commit and at the change. Not part of the test suite: it takes about a
+minute.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+from mfmls.cli.main import main as mfmls_main
+
+COMMANDS = ("sample", "convergence", "lebesgue", "noise", "power", "info")
+THREADS = ("1", "2")
+CONFIGS = {
+    "sphere": {
+        "version": 1,
+        "surface": {"preset": "sphere"},
+        "degrees": [0, 1, 2],
+        "cardinalities": [80, 160, 320],
+        "target": "trig",
+        "eval_count": 200,
+        "sigma_list": [0.0, 0.01, 0.1],
+        "trials": 4,
+        "kernel_order": 3,
+        "seed": 5,
+    },
+    "cyclide_patch": {
+        "version": 1,
+        "surface": {"preset": "cyclide"},
+        "restriction": {"center": "patch", "radius": 1.0},
+        "degrees": [0, 2],
+        "cardinalities": [100, 200, 400],
+        "target": "trig",
+        "eval_count": 200,
+        "sigma_list": [0.0, 0.05],
+        "trials": 3,
+        "noise_reference": "exact",
+        "kernel_order": 4,
+        "seed": 7,
+    },
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_all() -> None:
+    """Run every command on every config; print the digests (cwd is scratch)."""
+    for name, cfg in CONFIGS.items():
+        config_path = f"{name}.json"
+        with open(config_path, "w", encoding="ascii") as fh:
+            json.dump(dict(cfg, output_dir=name), fh)
+        for command in COMMANDS:
+            for threads in THREADS:
+                run = f"{name}/{command}/t{threads}"
+                stdout = io.StringIO()
+                with contextlib.redirect_stdout(stdout):
+                    code = mfmls_main([command, "--config", config_path,
+                                       "--out", run, "--threads", threads])
+                files = sorted(os.listdir(run)) if os.path.isdir(run) else []
+                for file in files:
+                    if file != "timings.csv":
+                        with open(os.path.join(run, file), "rb") as fh:
+                            print(f"{sha256(fh.read())}  {run}/{file}")
+                print(f"{sha256(stdout.getvalue().encode())}  {run}/stdout")
+                print(f"{code}  {run}/exit")
+
+
+def main() -> int:
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        # Relative output paths keep the temporary directory out of stdout
+        # (``sample`` prints the file it wrote).
+        os.chdir(tmp)
+        try:
+            run_all()
+        finally:
+            os.chdir(home)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -112,12 +112,68 @@ def _rank_summary(diag) -> str:
     return f"{int(ranks.min())}:{int(np.median(ranks))}:{int(ranks.max())}"
 
 
+def _cell_id(label) -> str:
+    cell_id = "m{}_N{}".format(*label[:2])
+    return cell_id if len(label) == 2 else f"{cell_id}_s{label[2]:g}"
+
+
+def _lebesgue_constant(diag) -> float:
+    ok = ~diag.failed
+    return float(diag.lebesgue[ok].max()) if ok.any() else float("nan")
+
+
+def _run_table(cfg, out_dir, threads, labels, cell_fn, table, header):
+    """Sample the clouds, run one cell per label and write the cell table.
+
+    ``cell_fn(label, clouds, evals)`` returns ``(values, n_failed)``; a row
+    is the cell id, the label and the values. A cell that raises, or that has
+    failed evaluation points, lands in ``errors.json``; wall times go to
+    ``timings.csv``. Returns the rows, the manifest and, keyed by ``header``,
+    the rows of the cells without a failed point.
+    """
+    os.makedirs(out_dir, exist_ok=True)
+    clouds = _sample_clouds(cfg)
+    evals = _sample_evals(cfg)
+
+    def timed_cell(label):
+        started = time.perf_counter()
+        values, n_failed = cell_fn(label, clouds, evals)
+        return values, n_failed, time.perf_counter() - started
+
+    rows, timing_rows, manifest, clean = [], [], [], []
+    for label, res in zip(labels, _run_cells(labels, timed_cell, threads)):
+        cell_id = _cell_id(label)
+        if isinstance(res, Exception):
+            manifest.append(
+                {"cell": cell_id, "error": type(res).__name__, "message": str(res)}
+            )
+            continue
+        values, n_failed, wall = res
+        row = [cell_id, *label, *values]
+        rows.append(row)
+        timing_rows.append([cell_id, wall])
+        if n_failed:
+            manifest.append(
+                {
+                    "cell": cell_id,
+                    "error": "EvaluationFailed",
+                    "message": f"{n_failed} evaluation point(s) failed",
+                }
+            )
+        else:
+            clean.append(dict(zip(header, row)))
+
+    _write_csv(os.path.join(out_dir, table), header, rows)
+    _write_csv(os.path.join(out_dir, "timings.csv"), ["cell", "seconds"], timing_rows)
+    _write_json(os.path.join(out_dir, "errors.json"), manifest)
+    return rows, manifest, clean
+
+
 # --- sample -------------------------------------------------------------------
 
 def cmd_sample(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
     os.makedirs(out_dir, exist_ok=True)
-    for i, n in enumerate(cfg.cardinalities):
-        cloud = cfg.surface.sample(n, cfg.seed + i, within=cfg.restriction)
+    for n, cloud in _sample_clouds(cfg).items():
         path = os.path.join(out_dir, f"points_N{n}.csv")
         save_csv(cloud, path)
         ratio = cloud.fill_distance / cloud.separation
@@ -138,30 +194,11 @@ def cmd_sample(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
 
 # --- convergence ----------------------------------------------------------------
 
-def _mls_cell(cloud, evals, target, m):
-    started = time.perf_counter()
-    approx, diag = mls_evaluate(
-        cloud, target(cloud.points), evals.points, MlsConfig(degree=m)
-    )
-    exact = target(evals.points)
-    ok = ~diag.failed
-    err = np.abs(approx[ok] - exact[ok])
-    wall = time.perf_counter() - started
-    return {
-        "diag": diag,
-        "max_error": float(err.max()) if ok.any() else float("nan"),
-        "rms_error": float(np.sqrt(np.mean(err**2))) if ok.any() else float("nan"),
-        "lebesgue": float(diag.lebesgue[ok].max()) if ok.any() else float("nan"),
-        "n_failed": int(diag.failed.sum()),
-        "wall": wall,
-    }
-
-
-def _fit_rates(degrees, cells_by_m):
+def _fit_rates(degrees, clean):
     """Per-m least-squares slope of log(max_error) against log(delta)."""
     rates = []
     for m in degrees:
-        cells = cells_by_m[m]
+        cells = [c for c in clean if c["m"] == m]
         entry = {"m": m, "n_cells": len(cells), "exact": False, "slope": None}
         if not cells:
             entry["flag"] = "no-usable-cells"
@@ -184,72 +221,34 @@ def cmd_convergence(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
             f"convergence needs >= 3 cardinalities, got {len(cfg.cardinalities)}"
         )
     target = cfg.target()
-    os.makedirs(out_dir, exist_ok=True)
-    clouds = _sample_clouds(cfg)
-    evals = _sample_evals(cfg)
 
-    labels = [(m, n) for m in cfg.degrees for n in cfg.cardinalities]
-    results = _run_cells(
-        labels, lambda mn: _mls_cell(clouds[mn[1]], evals, target, mn[0]), threads
-    )
-
-    rows, timing_rows, manifest = [], [], []
-    cells_by_m = {m: [] for m in cfg.degrees}
-    for (m, n), res in zip(labels, results):
-        cell_id = f"m{m}_N{n}"
-        if isinstance(res, Exception):
-            manifest.append(
-                {"cell": cell_id, "error": type(res).__name__, "message": str(res)}
-            )
-            continue
+    def cell(label, clouds, evals):
+        m, n = label
         cloud = clouds[n]
-        delta = float(res["diag"].base_delta)
-        rows.append(
-            [
-                cell_id,
-                m,
-                n,
-                delta,
-                cloud.fill_distance,
-                cloud.separation,
-                res["max_error"],
-                res["rms_error"],
-                res["lebesgue"],
-                _rank_summary(res["diag"]),
-            ]
+        approx, diag = mls_evaluate(
+            cloud, target(cloud.points), evals.points, MlsConfig(degree=m)
         )
-        timing_rows.append([cell_id, res["wall"]])
-        if res["n_failed"]:
-            manifest.append(
-                {
-                    "cell": cell_id,
-                    "error": "EvaluationFailed",
-                    "message": f"{res['n_failed']} evaluation point(s) failed",
-                }
-            )
-        else:
-            cells_by_m[m].append({"delta": delta, "max_error": res["max_error"]})
+        ok = ~diag.failed
+        err = np.abs(approx[ok] - target(evals.points)[ok])
+        values = [
+            float(diag.base_delta),
+            cloud.fill_distance,
+            cloud.separation,
+            float(err.max()) if ok.any() else float("nan"),
+            float(np.sqrt(np.mean(err**2))) if ok.any() else float("nan"),
+            _lebesgue_constant(diag),
+            _rank_summary(diag),
+        ]
+        return values, int(diag.failed.sum())
 
-    _write_csv(
-        os.path.join(out_dir, "results.csv"),
-        [
-            "cell",
-            "m",
-            "N",
-            "delta",
-            "h",
-            "q",
-            "max_error",
-            "rms_error",
-            "lebesgue_const",
-            "rank_min_med_max",
-        ],
-        rows,
+    header = ["cell", "m", "N", "delta", "h", "q", "max_error", "rms_error",
+              "lebesgue_const", "rank_min_med_max"]
+    labels = [(m, n) for m in cfg.degrees for n in cfg.cardinalities]
+    _, manifest, clean = _run_table(
+        cfg, out_dir, threads, labels, cell, "results.csv", header
     )
-    rates = _fit_rates(cfg.degrees, cells_by_m)
+    rates = _fit_rates(cfg.degrees, clean)
     _write_json(os.path.join(out_dir, "rates.json"), {"rates": rates})
-    _write_csv(os.path.join(out_dir, "timings.csv"), ["cell", "seconds"], timing_rows)
-    _write_json(os.path.join(out_dir, "errors.json"), manifest)
     print(json.dumps({"rates": rates}))
     return len(manifest)
 
@@ -257,55 +256,22 @@ def cmd_convergence(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
 # --- lebesgue -------------------------------------------------------------------
 
 def cmd_lebesgue(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
-    os.makedirs(out_dir, exist_ok=True)
-    clouds = _sample_clouds(cfg)
-    evals = _sample_evals(cfg)
-
-    def cell(mn):
-        m, n = mn
-        started = time.perf_counter()
+    def cell(label, clouds, evals):
+        m, n = label
         _, diag = shape_function_matrix(clouds[n], evals.points, MlsConfig(degree=m))
-        return {"diag": diag, "wall": time.perf_counter() - started}
-
-    labels = [(m, n) for m in cfg.degrees for n in cfg.cardinalities]
-    results = _run_cells(labels, cell, threads)
-
-    rows, timing_rows, manifest = [], [], []
-    for (m, n), res in zip(labels, results):
-        cell_id = f"m{m}_N{n}"
-        if isinstance(res, Exception):
-            manifest.append(
-                {"cell": cell_id, "error": type(res).__name__, "message": str(res)}
-            )
-            continue
-        diag = res["diag"]
-        ok = ~diag.failed
-        constant = float(diag.lebesgue[ok].max()) if ok.any() else float("nan")
-        rows.append(
-            [cell_id, m, n, float(diag.base_delta), constant, int(len(evals))]
-        )
         _field_csv(
             os.path.join(out_dir, f"lebesgue_field_m{m}_N{n}.csv"),
             evals.points,
             diag.lebesgue,
         )
-        timing_rows.append([cell_id, res["wall"]])
-        if diag.failed.any():
-            manifest.append(
-                {
-                    "cell": cell_id,
-                    "error": "EvaluationFailed",
-                    "message": f"{int(diag.failed.sum())} evaluation point(s) failed",
-                }
-            )
+        values = [float(diag.base_delta), _lebesgue_constant(diag), len(evals)]
+        return values, int(diag.failed.sum())
 
-    _write_csv(
-        os.path.join(out_dir, "lebesgue_constants.csv"),
-        ["cell", "m", "N", "delta", "lebesgue_const", "n_eval"],
-        rows,
+    header = ["cell", "m", "N", "delta", "lebesgue_const", "n_eval"]
+    labels = [(m, n) for m in cfg.degrees for n in cfg.cardinalities]
+    rows, manifest, _ = _run_table(
+        cfg, out_dir, threads, labels, cell, "lebesgue_constants.csv", header
     )
-    _write_csv(os.path.join(out_dir, "timings.csv"), ["cell", "seconds"], timing_rows)
-    _write_json(os.path.join(out_dir, "errors.json"), manifest)
     print(json.dumps({"cells": len(rows), "failed": len(manifest)}))
     return len(manifest)
 
@@ -318,13 +284,9 @@ def cmd_noise(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
     if cfg.trials is None:
         raise ConfigError("noise needs 'trials' (>= 2)")
     target = cfg.target()
-    os.makedirs(out_dir, exist_ok=True)
-    clouds = _sample_clouds(cfg)
-    evals = _sample_evals(cfg)
 
-    def cell(mns):
-        m, n, sigma = mns
-        started = time.perf_counter()
+    def cell(label, clouds, evals):
+        m, n, sigma = label
         cloud = clouds[n]
         exact = target(evals.points) if cfg.noise_reference == "exact" else None
         mean, std = noise_study(
@@ -337,31 +299,15 @@ def cmd_noise(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
             seed=cfg.seed,
             exact_values=exact,
         )
-        return {"mean": mean, "std": std, "wall": time.perf_counter() - started}
+        return [mean, std], 0
 
+    header = ["cell", "m", "N", "sigma", "mean_max_diff", "std_max_diff"]
     labels = [
         (m, n, s) for m in cfg.degrees for n in cfg.cardinalities for s in cfg.sigma_list
     ]
-    results = _run_cells(labels, cell, threads)
-
-    rows, timing_rows, manifest = [], [], []
-    for (m, n, sigma), res in zip(labels, results):
-        cell_id = f"m{m}_N{n}_s{sigma:g}"
-        if isinstance(res, Exception):
-            manifest.append(
-                {"cell": cell_id, "error": type(res).__name__, "message": str(res)}
-            )
-            continue
-        rows.append([cell_id, m, n, sigma, res["mean"], res["std"]])
-        timing_rows.append([cell_id, res["wall"]])
-
-    _write_csv(
-        os.path.join(out_dir, "stability.csv"),
-        ["cell", "m", "N", "sigma", "mean_max_diff", "std_max_diff"],
-        rows,
+    rows, manifest, _ = _run_table(
+        cfg, out_dir, threads, labels, cell, "stability.csv", header
     )
-    _write_csv(os.path.join(out_dir, "timings.csv"), ["cell", "seconds"], timing_rows)
-    _write_json(os.path.join(out_dir, "errors.json"), manifest)
     print(json.dumps({"cells": len(rows), "failed": len(manifest)}))
     return len(manifest)
 

@@ -112,11 +112,11 @@ def _greedy_thin(points: np.ndarray, radius: float, limit: int | None = None) ->
     inv = 1.0 / radius
     origin = points.min(axis=0) - 2.0 * radius
     cell = np.floor((points - origin) * inv).astype(np.int64)
-    # Pack the per-axis cell indices into one integer key; 21 bits per axis
-    # is ample for any extent/radius ratio the calibration can produce.
-    if dim > 3 or (cell >= (1 << 20)).any():
+    # Pack the three cell indices into one integer key, 21 bits per axis;
+    # other dimensions and larger extents take the tuple-key scan.
+    if dim != 3 or (cell >= (1 << 20)).any():
         return _greedy_thin_tuple_keys(points, cell, r2, limit)
-    shifts = [42, 21, 0][3 - dim :]
+    shifts = [42, 21, 0]
     key_arr = np.zeros(n, dtype=np.int64)
     for axis, shift in enumerate(shifts):
         key_arr |= cell[:, axis] << shift
@@ -125,71 +125,42 @@ def _greedy_thin(points: np.ndarray, radius: float, limit: int | None = None) ->
         sum(d << s for d, s in zip(delta, shifts))
         for delta in itertools.product((-1, 0, 1), repeat=dim)
     ]
-    cols = [points[:, j].tolist() for j in range(dim)]
+    xs, ys, zs = (points[:, j].tolist() for j in range(dim))
     accepted: list[int] = []
     cells: dict[int, list[float]] = {}
     get = cells.get
-    if dim == 3:
-        xs, ys, zs = cols
-        for i in range(n):
-            x, y, z = xs[i], ys[i], zs[i]
-            base = keys[i]
-            ok = True
-            for off in offsets:
-                lst = get(base + off)
-                if lst is not None:
-                    for j in range(0, len(lst), 3):
-                        dx = lst[j] - x
-                        dy = lst[j + 1] - y
-                        dz = lst[j + 2] - z
-                        if dx * dx + dy * dy + dz * dz < r2:
-                            ok = False
-                            break
-                    if not ok:
+    for i in range(n):
+        x, y, z = xs[i], ys[i], zs[i]
+        base = keys[i]
+        ok = True
+        for off in offsets:
+            lst = get(base + off)
+            if lst is not None:
+                for j in range(0, len(lst), 3):
+                    dx = lst[j] - x
+                    dy = lst[j + 1] - y
+                    dz = lst[j + 2] - z
+                    if dx * dx + dy * dy + dz * dz < r2:
+                        ok = False
                         break
-            if ok:
-                accepted.append(i)
-                lst = get(base)
-                if lst is None:
-                    cells[base] = [x, y, z]
-                else:
-                    lst.extend((x, y, z))
-                if limit is not None and len(accepted) >= limit:
+                if not ok:
                     break
-    else:
-        for i in range(n):
-            p = [c[i] for c in cols]
-            base = keys[i]
-            ok = True
-            for off in offsets:
-                lst = get(base + off)
-                if lst is not None:
-                    for j in range(0, len(lst), dim):
-                        s = 0.0
-                        for a in range(dim):
-                            d = lst[j + a] - p[a]
-                            s += d * d
-                        if s < r2:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-            if ok:
-                accepted.append(i)
-                lst = get(base)
-                if lst is None:
-                    cells[base] = list(p)
-                else:
-                    lst.extend(p)
-                if limit is not None and len(accepted) >= limit:
-                    break
+        if ok:
+            accepted.append(i)
+            lst = get(base)
+            if lst is None:
+                cells[base] = [x, y, z]
+            else:
+                lst.extend((x, y, z))
+            if limit is not None and len(accepted) >= limit:
+                break
     return np.asarray(accepted, dtype=np.intp)
 
 
 def _greedy_thin_tuple_keys(
     points: np.ndarray, cell: np.ndarray, r2: float, limit: int | None
 ) -> np.ndarray:
-    """Fallback thinning for high dimensions or extreme grid extents."""
+    """Greedy thinning for dimensions other than 3 or extreme grid extents."""
     n, dim = points.shape
     offsets = list(itertools.product((-1, 0, 1), repeat=dim))
     accepted: list[int] = []

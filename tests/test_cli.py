@@ -302,17 +302,6 @@ def test_convergence_deltas_rederivable(conv_run):
         assert row[3] == f"{delta:.17g}"
 
 
-def test_convergence_byte_deterministic_across_threads(conv_run):
-    out2 = conv_run["tmp"] / "out2"
-    code = main(
-        ["convergence", "--config", conv_run["cfg_path"], "--out", str(out2),
-         "--threads", "3"]
-    )
-    assert code == 0
-    for name in ("results.csv", "rates.json", "errors.json"):
-        assert (out2 / name).read_bytes() == (conv_run["out"] / name).read_bytes()
-
-
 def test_convergence_needs_three_cardinalities(tmp_path, capsys):
     cfg_path = write_config(tmp_path, cardinalities=[100])
     out = tmp_path / "short"
@@ -556,25 +545,64 @@ def test_bad_out_directory_exits_2(tmp_path, capsys):
     assert not_a_dir.read_text() == "a regular file\n"
 
 
+# --- cell tables: convergence, lebesgue, noise -----------------------------------
+
+# Each table command's table file and the library call it makes once per cell.
+TABLE_COMMANDS = {
+    "convergence": ("results.csv", "mls_evaluate"),
+    "lebesgue": ("lebesgue_constants.csv", "shape_function_matrix"),
+    "noise": ("stability.csv", "noise_study"),
+}
+
+
+@pytest.mark.parametrize("command", TABLE_COMMANDS)
+def test_table_byte_deterministic_across_threads(tmp_path, capsys, command):
+    cfg_path = write_config(tmp_path, sigma_list=[0.0, 0.05], trials=3)
+    outs = [tmp_path / "t1", tmp_path / "t3"]
+    stdouts = []
+    for out, threads in zip(outs, ("1", "3")):
+        assert main([command, "--config", cfg_path, "--out", str(out),
+                     "--threads", threads]) == 0
+        stdouts.append(capsys.readouterr().out)
+    assert stdouts[0] == stdouts[1]
+    names = sorted(os.listdir(outs[0]))
+    assert "errors.json" in names and "timings.csv" in names
+    assert sorted(os.listdir(outs[1])) == names
+    for name in names:
+        if name != "timings.csv":
+            assert (outs[1] / name).read_bytes() == (outs[0] / name).read_bytes(), name
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
-def test_cell_linalg_error_lands_in_manifest(tmp_path, monkeypatch, threads):
+@pytest.mark.parametrize("command", TABLE_COMMANDS)
+def test_cell_linalg_error_lands_in_manifest(tmp_path, monkeypatch, command, threads):
     import mfmls.cli.runner as runner
+    from mfmls.mls import MlsConfig
 
-    real = runner.mls_evaluate
+    table, cell_call = TABLE_COMMANDS[command]
+    real = getattr(runner, cell_call)
 
-    def failing_cell(cloud, values, evals, config):
+    def failing_cell(cloud, *args, **kwargs):
+        config = next(a for a in args if isinstance(a, MlsConfig))
         if config.degree == 1 and len(cloud) < 90:
             raise np.linalg.LinAlgError("SVD did not converge")
-        return real(cloud, values, evals, config)
+        return real(cloud, *args, **kwargs)
 
-    monkeypatch.setattr(runner, "mls_evaluate", failing_cell)
-    cfg_path = write_config(tmp_path, cardinalities=[60, 120, 240], eval_count=200)
-    out = tmp_path / "conv"
-    assert main(["convergence", "--config", cfg_path, "--out", str(out),
+    monkeypatch.setattr(runner, cell_call, failing_cell)
+    cfg_path = write_config(tmp_path, cardinalities=[60, 120, 240], eval_count=200,
+                            sigma_list=[0.05], trials=2)
+    out = tmp_path / "table"
+    assert main([command, "--config", cfg_path, "--out", str(out),
                  "--threads", threads]) == 1
-    _, rows = _read_csv_rows(out / "results.csv")
-    assert [row[0] for row in rows] == [
-        "m0_N60", "m0_N120", "m0_N240", "m1_N120", "m1_N240"]
+    suffix = "_s0.05" if command == "noise" else ""
+    kept = ["m0_N60", "m0_N120", "m0_N240", "m1_N120", "m1_N240"]
+    _, rows = _read_csv_rows(out / table)
+    assert [row[0] for row in rows] == [cell + suffix for cell in kept]
     errors = json.loads((out / "errors.json").read_text())
-    assert errors == [{"cell": "m1_N60", "error": "LinAlgError",
+    assert errors == [{"cell": "m1_N60" + suffix, "error": "LinAlgError",
                        "message": "SVD did not converge"}]
+    _, timings = _read_csv_rows(out / "timings.csv")
+    assert [row[0] for row in timings] == [row[0] for row in rows]
+    if command == "lebesgue":
+        fields = {name for name in os.listdir(out) if name.startswith("lebesgue_field_")}
+        assert fields == {f"lebesgue_field_{cell}.csv" for cell in kept}

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from mfmls.geometry import presets
+from mfmls.geometry import presets, sampling
 from mfmls.geometry.cloud import BallRestriction, density_stats, restrict, save_csv
-from mfmls.geometry.sampling import sample_quasi_uniform
+from mfmls.geometry.sampling import _greedy_thin, sample_quasi_uniform
 
 
 def test_sphere_card_and_residuals():
@@ -104,3 +104,58 @@ def test_calibration_settles_when_rescaling_oscillates(preset, seed):
     assert abs(len(cloud) - 30) <= 0.08 * 30
     assert cloud.fill_distance / cloud.separation <= 4.0
     assert np.abs(s.eval(cloud.points)).max() <= 1e-10 * s.coeff_scale
+
+
+def brute_force_greedy_thin(points, radius, limit=None):
+    """O(n^2) greedy packing, the reference for ``_greedy_thin``."""
+    accepted = []
+    for i, p in enumerate(points):
+        d = points[accepted] - p
+        if not ((d * d).sum(axis=1) < radius * radius).any():
+            accepted.append(i)
+            if limit is not None and len(accepted) >= limit:
+                break
+    return np.asarray(accepted, dtype=np.intp)
+
+
+def _thinning_cases(dim):
+    """Random, clustered, lattice and degenerate inputs of dimension ``dim``."""
+    rng = np.random.default_rng(dim)
+    radius = {1: 0.004, 2: 0.06, 3: 0.15, 4: 0.3}[dim]
+    yield rng.random((400, dim)), radius
+    yield rng.normal(scale=4 * radius, size=(250, dim)), radius
+    # Dyadic lattice with spacing equal to the radius: exact distance ties,
+    # which the strict "closer than radius" test must accept.
+    lattice = np.indices((6,) * dim).reshape(dim, -1).T * 0.25
+    yield lattice[rng.permutation(len(lattice))], 0.25
+    yield np.zeros((1, dim)), radius
+    yield np.zeros((0, dim)), radius
+    if dim == 3:
+        # Two clusters 3e6 radii apart: cell indices pass 2**20, beyond the
+        # packed 21-bit keys, so the tuple-key scan takes over.
+        far = rng.normal(scale=3.0, size=(300, 3))
+        far[150:] += 3.0e6
+        yield far, 1.0
+
+
+@pytest.mark.parametrize("limit", [None, 7])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_greedy_thin_matches_brute_force(monkeypatch, dim, limit):
+    tuple_calls = []
+    real = sampling._greedy_thin_tuple_keys
+
+    def spy(points, *args):
+        tuple_calls.append(points.shape)
+        return real(points, *args)
+
+    monkeypatch.setattr(sampling, "_greedy_thin_tuple_keys", spy)
+    for points, radius in _thinning_cases(dim):
+        got = _greedy_thin(points, radius, limit)
+        assert got.dtype == np.intp
+        np.testing.assert_array_equal(got, brute_force_greedy_thin(points, radius, limit))
+    # Dimension 3 takes the packed-key loop unless the extent overflows it;
+    # every other dimension takes the tuple keys (the empty input neither).
+    if dim == 3:
+        assert tuple_calls == [(300, 3)]
+    else:
+        assert len(tuple_calls) == 4
