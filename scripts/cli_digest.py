@@ -1,12 +1,13 @@
-"""SHA-256 digests of every ``mfmls`` command's outputs on two small configs.
+"""SHA-256 digests of every ``mfmls`` command's outputs on three small configs.
 
 Usage (from the root of a source checkout)::
 
     PYTHONPATH=src python3 scripts/cli_digest.py > digests.txt
 
 Runs ``sample``, ``convergence``, ``lebesgue``, ``noise``, ``power`` and
-``info`` on a sphere config and a cyclide-patch config, each at
-``--threads 1`` and ``2``, inside a temporary directory. Prints one
+``info`` on a sphere config, a cyclide-patch config and a config on an
+octahedron OBJ mesh (written next to the configs), each at ``--threads 1``
+and ``2``, inside a temporary directory. Prints one
 ``sha256  config/command/tN/file`` line per output file and one for the
 command's stdout, plus a ``code  config/command/tN/exit`` line with its exit
 code. ``timings.csv`` holds wall times and is skipped. A refactor that claims
@@ -29,6 +30,22 @@ from mfmls.cli.main import main as mfmls_main
 
 COMMANDS = ("sample", "convergence", "lebesgue", "noise", "power", "info")
 THREADS = ("1", "2")
+OCTAHEDRON_OBJ = """\
+v 1 0 0
+v -1 0 0
+v 0 1 0
+v 0 -1 0
+v 0 0 1
+v 0 0 -1
+f 1 3 5
+f 3 2 5
+f 2 4 5
+f 4 1 5
+f 3 1 6
+f 2 3 6
+f 4 2 6
+f 1 4 6
+"""
 CONFIGS = {
     "sphere": {
         "version": 1,
@@ -56,6 +73,18 @@ CONFIGS = {
         "kernel_order": 4,
         "seed": 7,
     },
+    "mesh": {
+        "version": 1,
+        "surface": {"preset": "mesh", "path": "octahedron.obj"},
+        "degrees": [0, 1],
+        "cardinalities": [80, 160, 320],
+        "target": "affine",
+        "eval_count": 200,
+        "sigma_list": [0.0, 0.01],
+        "trials": 3,
+        "kernel_order": 3,
+        "seed": 9,
+    },
 }
 
 
@@ -65,6 +94,8 @@ def sha256(data: bytes) -> str:
 
 def run_all() -> None:
     """Run every command on every config; print the digests (cwd is scratch)."""
+    with open("octahedron.obj", "w", encoding="ascii") as fh:
+        fh.write(OCTAHEDRON_OBJ)
     for name, cfg in CONFIGS.items():
         config_path = f"{name}.json"
         with open(config_path, "w", encoding="ascii") as fh:

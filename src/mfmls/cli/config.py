@@ -68,6 +68,15 @@ TARGETS = {
 }
 
 
+# Preset constructors and their config keys. The presets supply the
+# defaults and reject invalid parameters themselves.
+_PRESETS = {
+    "sphere": (sphere, ("radius",)),
+    "torus": (torus, ("ring_radius", "tube_radius")),
+    "cyclide": (cyclide, ("a", "b", "d")),
+}
+
+
 def _check_keys(d: dict, allowed: set, required: set, where: str) -> None:
     unknown = sorted(set(d) - allowed)
     if unknown:
@@ -95,6 +104,8 @@ def _int_list(value, where: str, minimum: int) -> tuple[int, ...]:
     out = tuple(_as_int(v, f"{where} entry") for v in value)
     if any(v < minimum for v in out):
         raise ConfigError(f"{where} entries must be >= {minimum}, got {list(out)}")
+    if len(set(out)) != len(out):
+        raise ConfigError(f"{where} entries must be distinct, got {list(out)}")
     return out
 
 
@@ -132,27 +143,18 @@ def _parse_surface(spec, where: str = "surface") -> tuple[SurfaceHandle, dict]:
         raise ConfigError(f"{where} cannot mix a preset with raw coefficients")
     if "preset" in spec:
         name = spec["preset"]
-        if name == "sphere":
-            _check_keys(spec, {"preset", "radius"}, {"preset"}, where)
-            radius = _as_number(spec.get("radius", 1.0), f"{where}.radius")
-            if radius <= 0:
-                raise ConfigError(f"{where}.radius must be positive")
-            return SurfaceHandle(sphere(radius), None), dict(spec)
-        if name == "torus":
-            _check_keys(
-                spec, {"preset", "ring_radius", "tube_radius"}, {"preset"}, where
-            )
-            ring = _as_number(spec.get("ring_radius", 1.0), f"{where}.ring_radius")
-            tube = _as_number(spec.get("tube_radius", 1 / 3), f"{where}.tube_radius")
-            if not 0 < tube < ring:
-                raise ConfigError(f"{where}: need 0 < tube_radius < ring_radius")
-            return SurfaceHandle(torus(ring, tube), None), dict(spec)
-        if name == "cyclide":
-            _check_keys(spec, {"preset", "a", "b", "d"}, {"preset"}, where)
-            a = _as_number(spec.get("a", 2.0), f"{where}.a")
-            b = _as_number(spec.get("b", 1.9), f"{where}.b")
-            d = _as_number(spec.get("d", 1.0), f"{where}.d")
-            return SurfaceHandle(cyclide(a, b, d), None), dict(spec)
+        if isinstance(name, str) and name in _PRESETS:
+            make, params = _PRESETS[name]
+            _check_keys(spec, {"preset", *params}, {"preset"}, where)
+            kwargs = {
+                key: _as_number(spec[key], f"{where}.{key}")
+                for key in params if key in spec
+            }
+            try:
+                surface = make(**kwargs)
+            except ValueError as exc:
+                raise ConfigError(f"{where}: {exc}") from None
+            return SurfaceHandle(surface, None), dict(spec)
         if name == "mesh":
             _check_keys(spec, {"preset", "path"}, {"preset", "path"}, where)
             path = spec["path"]
@@ -219,11 +221,11 @@ def _parse_restriction(
             raise ConfigError(
                 f"{where}.center 'patch' is only defined for the cyclide preset"
             )
-        center = cyclide_patch_center(
-            surface_spec.get("a", 2.0),
-            surface_spec.get("b", 1.9),
-            surface_spec.get("d", 1.0),
-        )
+        params = {k: v for k, v in surface_spec.items() if k != "preset"}
+        try:
+            center = cyclide_patch_center(**params)
+        except ValueError as exc:
+            raise ConfigError(f"{where}.center 'patch': {exc}") from None
     else:
         if not isinstance(center, list):
             raise ConfigError(f"{where}.center must be 'patch' or a coordinate list")

@@ -9,7 +9,7 @@ import numpy as np
 
 from ..errors import EmptyMesh, MeshFormatError, SamplingFailed
 from .cloud import PointCloud
-from .sampling import _greedy_thin
+from .sampling import _greedy_thin, _packed_cloud
 
 
 class TriMesh:
@@ -139,16 +139,7 @@ def sample_mesh(mesh: TriMesh, n: int, seed: int, *, oversample: float = 20.0) -
     for _ in range(10):
         idx = _greedy_thin(pool, radius, limit=n)
         if len(idx) == n:
-            pts = pool[idx]
-            cloud = PointCloud(pts)
-            d, _ = cloud.tree.query(pool, k=1)
-            cloud.fill_distance = float(d.max())
-            if n > 1:
-                dd, _ = cloud.tree.query(pts, k=2)
-                cloud.separation = float(dd[:, 1].min())
-            else:
-                cloud.separation = np.inf
-            return cloud
+            return _packed_cloud(pool, idx)
         radius *= max(math.sqrt(len(idx) / n) * 0.99, 0.5)
         if radius < floor:
             raise SamplingFailed(

@@ -5,7 +5,9 @@ Points are produced in three stages: rejection sampling of a thin shell
 proportional to ``|grad P|`` so that the projected candidates are close to
 uniform with respect to surface area), damped-Newton projection onto the
 surface, and greedy thinning to a maximal packing at a separation radius
-calibrated against the requested cardinality.
+calibrated against the requested cardinality. One thinning scan serves
+every ambient dimension; ``sample_mesh`` shares it and the packing
+epilogue (``_packed_cloud``).
 """
 
 from __future__ import annotations
@@ -100,32 +102,39 @@ def _greedy_thin(points: np.ndarray, radius: float, limit: int | None = None) ->
 
     Points are visited in order; a point is accepted when no previously
     accepted point lies within ``radius``. Accepted points are kept in a
-    uniform grid of cell size ``radius`` so each query touches only the
-    3**dim neighbouring cells. The scan loop is deliberately plain Python
-    over flat coordinate lists; it handles a few million points in seconds
-    and keeps the ordering semantics exact.
+    uniform grid of cell size ``radius`` over the first three coordinates,
+    so each query touches only the 27 neighbouring cells. Dimensions 1 and
+    2 are padded with zero coordinates, which add exactly 0 to every squared
+    distance. Coordinates past the third join the squared distance in
+    order, and only once the first three already fall below ``radius**2``;
+    adding non-negative terms never lowers a sum, so the test is the plain
+    in-order one. The scan loop is deliberately plain Python over flat
+    coordinate lists; it handles a few million points in seconds and keeps
+    the ordering semantics exact.
     """
     n, dim = points.shape
     if n == 0:
         return np.empty(0, dtype=np.intp)
     r2 = radius * radius
-    inv = 1.0 / radius
-    origin = points.min(axis=0) - 2.0 * radius
-    cell = np.floor((points - origin) * inv).astype(np.int64)
-    # Pack the three cell indices into one integer key, 21 bits per axis;
-    # other dimensions and larger extents take the tuple-key scan.
-    if dim != 3 or (cell >= (1 << 20)).any():
-        return _greedy_thin_tuple_keys(points, cell, r2, limit)
-    shifts = [42, 21, 0]
-    key_arr = np.zeros(n, dtype=np.int64)
-    for axis, shift in enumerate(shifts):
-        key_arr |= cell[:, axis] << shift
-    keys = key_arr.tolist()
+    head = points[:, :3]
+    if dim < 3:
+        head = np.hstack([head, np.zeros((n, 3 - dim))])
+    origin = head.min(axis=0) - 2.0 * radius
+    cell = np.floor((head - origin) * (1.0 / radius)).astype(np.int64)
+    # One integer key per cell; neighbour cells stay in [0, stride) per
+    # axis, so keys never collide. Keys fit int64 while stride < 2**21;
+    # larger grids key by Python ints.
+    stride = int(cell.max()) + 2
+    if stride >= 1 << 21:
+        cell = cell.astype(object)
+    keys = ((cell[:, 0] * stride + cell[:, 1]) * stride + cell[:, 2]).tolist()
     offsets = [
-        sum(d << s for d, s in zip(delta, shifts))
-        for delta in itertools.product((-1, 0, 1), repeat=dim)
+        (a * stride + b) * stride + c
+        for a, b, c in itertools.product((-1, 0, 1), repeat=3)
     ]
-    xs, ys, zs = (points[:, j].tolist() for j in range(dim))
+    xs, ys, zs = (head[:, j].tolist() for j in range(3))
+    rest = [points[:, j].tolist() for j in range(3, dim)]
+    step = 3 + len(rest)
     accepted: list[int] = []
     cells: dict[int, list[float]] = {}
     get = cells.get
@@ -136,11 +145,18 @@ def _greedy_thin(points: np.ndarray, radius: float, limit: int | None = None) ->
         for off in offsets:
             lst = get(base + off)
             if lst is not None:
-                for j in range(0, len(lst), 3):
+                for j in range(0, len(lst), step):
                     dx = lst[j] - x
                     dy = lst[j + 1] - y
                     dz = lst[j + 2] - z
-                    if dx * dx + dy * dy + dz * dz < r2:
+                    d2 = dx * dx + dy * dy + dz * dz
+                    if d2 < r2:
+                        if rest:
+                            for k, col in enumerate(rest, j + 3):
+                                dw = lst[k] - col[i]
+                                d2 += dw * dw
+                            if d2 >= r2:
+                                continue
                         ok = False
                         break
                 if not ok:
@@ -149,43 +165,26 @@ def _greedy_thin(points: np.ndarray, radius: float, limit: int | None = None) ->
             accepted.append(i)
             lst = get(base)
             if lst is None:
-                cells[base] = [x, y, z]
-            else:
-                lst.extend((x, y, z))
+                lst = cells[base] = []
+            lst.extend((x, y, z, *[col[i] for col in rest]))
             if limit is not None and len(accepted) >= limit:
                 break
     return np.asarray(accepted, dtype=np.intp)
 
 
-def _greedy_thin_tuple_keys(
-    points: np.ndarray, cell: np.ndarray, r2: float, limit: int | None
-) -> np.ndarray:
-    """Greedy thinning for dimensions other than 3 or extreme grid extents."""
-    n, dim = points.shape
-    offsets = list(itertools.product((-1, 0, 1), repeat=dim))
-    accepted: list[int] = []
-    cells: dict[tuple, list[np.ndarray]] = {}
-    keys = [tuple(row) for row in cell.tolist()]
-    for i in range(n):
-        p = points[i]
-        base = keys[i]
-        ok = True
-        for off in offsets:
-            lst = cells.get(tuple(b + o for b, o in zip(base, off)))
-            if lst is not None:
-                for q in lst:
-                    d = p - q
-                    if float(d @ d) < r2:
-                        ok = False
-                        break
-                if not ok:
-                    break
-        if ok:
-            accepted.append(i)
-            cells.setdefault(base, []).append(p)
-            if limit is not None and len(accepted) >= limit:
-                break
-    return np.asarray(accepted, dtype=np.intp)
+def _packed_cloud(pool: np.ndarray, idx: np.ndarray) -> PointCloud:
+    """Cloud of ``pool[idx]`` with ``fill_distance`` against the pool and
+    ``separation`` (infinite for a single point) set."""
+    pts = pool[idx]
+    cloud = PointCloud(pts)
+    d, _ = cloud.tree.query(pool, k=1)
+    cloud.fill_distance = float(d.max())
+    if len(pts) > 1:
+        dd, _ = cloud.tree.query(pts, k=2)
+        cloud.separation = float(dd[:, 1].min())
+    else:
+        cloud.separation = np.inf
+    return cloud
 
 
 def _initial_radius(cands: np.ndarray, n_target: int) -> float:
@@ -288,19 +287,8 @@ def sample_quasi_uniform(
         rng = np.random.default_rng(seed)
         cands = _shell_candidates(surface, n_cand, rng, within)
         if n_target == 1:
-            pt = cands[:1]
-            cloud = PointCloud(pt)
-            d, _ = cKDTree(pt).query(cands, k=1)
-            cloud.fill_distance = float(d.max())
-            cloud.separation = np.inf
-            return cloud
-
-        pts = cands[_calibrated_packing(cands, n_target)]
-        cloud = PointCloud(pts)
-        d, _ = cloud.tree.query(cands, k=1)
-        cloud.fill_distance = float(d.max())
-        dd, _ = cloud.tree.query(pts, k=2)
-        cloud.separation = float(dd[:, 1].min())
+            return _packed_cloud(cands, np.zeros(1, dtype=np.intp))
+        cloud = _packed_cloud(cands, _calibrated_packing(cands, n_target))
         if cloud.fill_distance / cloud.separation <= 4.0:
             return cloud
         # Densify the pool and retry; a sparse pocket of candidates is the

@@ -230,20 +230,16 @@ class InterpSystem:
 def _symmetric_gram(spec: KernelSpec, pts: np.ndarray) -> np.ndarray:
     """Gram matrix phi(|p_i - p_j|) built in the distance buffer.
 
-    Row blocks are evaluated in place, and the upper triangle is mirrored
-    onto the lower so K is exactly symmetric; apart from the distances, only
-    block-sized temporaries are allocated.
+    Row blocks are evaluated in place; apart from the distances, only
+    block-sized temporaries are allocated. K is exactly symmetric because
+    the distances are, ``(a - b)**2`` being bitwise ``(b - a)**2``, and the
+    kernel acts elementwise.
     """
     gram = cdist(pts, pts)
     n = len(gram)
     rows = max(1, _KERNEL_BLOCK // n)
     for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        _matern_inplace(spec, gram[start:stop])
-        gram[start:stop, :start] = gram[:start, start:stop].T
-        square = gram[start:stop, start:stop]
-        i, j = np.tril_indices(stop - start, -1)
-        square[i, j] = square[j, i]
+        _matern_inplace(spec, gram[start:start + rows])
     return gram
 
 

@@ -83,11 +83,43 @@ def test_version_checked(tmp_path):
         ("noise_reference", "both"),
         ("eval_count", 0),
         ("seed", "five"),
+        ("cardinalities", [80, 80, 160]),
+        ("degrees", [0, 1, 0]),
     ],
 )
 def test_bad_field_values_rejected(tmp_path, field, value):
     with pytest.raises(ConfigError):
         parse_config(base_config(tmp_path, **{field: value}))
+
+
+PATCH = {"center": "patch", "radius": 1.0}
+
+
+@pytest.mark.parametrize(
+    "surface,restriction",
+    [
+        ({"preset": "sphere", "radius": 0}, None),
+        ({"preset": "sphere", "radius": -1.0}, None),
+        ({"preset": "torus", "ring_radius": 1.0, "tube_radius": 1.5}, None),
+        ({"preset": "torus", "tube_radius": 0}, None),
+        ({"preset": "cyclide", "a": 1.0, "b": 2.0}, None),
+        ({"preset": "cyclide", "d": 3.0}, None),
+        ({"preset": "cyclide", "a": 3.0, "b": 2.9}, PATCH),
+        ({"preset": "cyclide", "d": 0.5}, PATCH),
+    ],
+    ids=["sphere-zero", "sphere-negative", "torus-tube-above-ring", "torus-zero-tube",
+         "cyclide-a-below-b", "cyclide-d-above-a", "patch-not-real", "patch-off-surface"],
+)
+def test_bad_preset_parameters_rejected(tmp_path, surface, restriction):
+    cfg = base_config(tmp_path, surface=surface, restriction=restriction)
+    with pytest.raises(ConfigError):
+        parse_config(cfg)
+
+
+def test_bad_preset_parameters_exit_2(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, surface={"preset": "cyclide", "a": 1.0, "b": 2.0})
+    assert main(["sample", "--config", cfg_path]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_unknown_preset_rejected(tmp_path):

@@ -129,6 +129,23 @@ def test_sample_on_plane_and_spread():
     assert d[:, 1].min() > 0.25 / np.sqrt(200)
 
 
+def test_two_far_components_keep_exact_count_and_separation():
+    # Two unit octahedra 3e5 apart: the thinning grid passes 2**21 cells
+    # along x, so cell keys are Python ints.
+    unit = np.array([[1.0, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]])
+    faces = np.array([[a, b, c] for a in (0, 1) for b in (2, 3) for c in (4, 5)])
+    mesh = TriMesh(
+        np.vstack([unit, unit + [3.0e5, 0, 0]]), np.vstack([faces, faces + 6])
+    )
+    cloud = sample_mesh(mesh, 600, seed=4)
+    assert len(cloud) == 600
+    assert (cloud.points[:, 0] > 1.0e5).sum() not in (0, 600)
+    diff = cloud.points[:, None, :] - cloud.points[None, :, :]
+    dist = np.sqrt((diff * diff).sum(axis=2))
+    np.fill_diagonal(dist, np.inf)
+    assert cloud.separation == dist.min()
+
+
 def test_oversample_too_small():
     v = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]])
     mesh = TriMesh(v, np.array([[0, 1, 2]]))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mfmls.geometry import presets, sampling
+from mfmls.geometry import presets
 from mfmls.geometry.cloud import BallRestriction, density_stats, restrict, save_csv
 from mfmls.geometry.sampling import _greedy_thin, sample_quasi_uniform
 
@@ -121,7 +121,7 @@ def brute_force_greedy_thin(points, radius, limit=None):
 def _thinning_cases(dim):
     """Random, clustered, lattice and degenerate inputs of dimension ``dim``."""
     rng = np.random.default_rng(dim)
-    radius = {1: 0.004, 2: 0.06, 3: 0.15, 4: 0.3}[dim]
+    radius = {1: 0.004, 2: 0.06, 3: 0.15, 4: 0.3, 5: 0.4}[dim]
     yield rng.random((400, dim)), radius
     yield rng.normal(scale=4 * radius, size=(250, dim)), radius
     # Dyadic lattice with spacing equal to the radius: exact distance ties,
@@ -131,31 +131,28 @@ def _thinning_cases(dim):
     yield np.zeros((1, dim)), radius
     yield np.zeros((0, dim)), radius
     if dim == 3:
-        # Two clusters 3e6 radii apart: cell indices pass 2**20, beyond the
-        # packed 21-bit keys, so the tuple-key scan takes over.
+        # Two clusters 3e6 radii apart: the grid passes 2**21 cells per
+        # axis, so cell keys leave int64 for Python ints.
         far = rng.normal(scale=3.0, size=(300, 3))
         far[150:] += 3.0e6
         yield far, 1.0
+        # Grid of stride s = 2**21 + 2 with two points 0.2 apart whose cell
+        # keys are 2**63 - 1 and 2**63: int64 keys would wrap between them.
+        s = 2**21 + 2
+        cx, rem = divmod(2**63 - 1, s * s)
+        cy, cz = divmod(rem, s)
+        yield np.array([
+            [0.0, 0.0, 0.0],
+            [s - 3.5, 0.0, 0.0],
+            [cx - 1.5, cy - 1.5, cz - 1.1],
+            [cx - 1.5, cy - 1.5, cz - 0.9],
+        ]), 1.0
 
 
 @pytest.mark.parametrize("limit", [None, 7])
-@pytest.mark.parametrize("dim", [1, 2, 3, 4])
-def test_greedy_thin_matches_brute_force(monkeypatch, dim, limit):
-    tuple_calls = []
-    real = sampling._greedy_thin_tuple_keys
-
-    def spy(points, *args):
-        tuple_calls.append(points.shape)
-        return real(points, *args)
-
-    monkeypatch.setattr(sampling, "_greedy_thin_tuple_keys", spy)
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_greedy_thin_matches_brute_force(dim, limit):
     for points, radius in _thinning_cases(dim):
         got = _greedy_thin(points, radius, limit)
         assert got.dtype == np.intp
         np.testing.assert_array_equal(got, brute_force_greedy_thin(points, radius, limit))
-    # Dimension 3 takes the packed-key loop unless the extent overflows it;
-    # every other dimension takes the tuple keys (the empty input neither).
-    if dim == 3:
-        assert tuple_calls == [(300, 3)]
-    else:
-        assert len(tuple_calls) == 4
