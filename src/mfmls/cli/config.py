@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, EmptyMesh, MeshFormatError
 from ..geometry.cloud import BallRestriction, PointCloud
 from ..geometry.mesh import TriMesh, load_obj, sample_mesh
 from ..geometry.presets import cyclide, cyclide_patch_center, sphere, torus
@@ -164,6 +164,8 @@ def _parse_surface(spec, where: str = "surface") -> tuple[SurfaceHandle, dict]:
                 mesh = load_obj(path)
             except OSError as exc:
                 raise ConfigError(f"cannot read mesh file {path!r}: {exc}") from exc
+            except (MeshFormatError, EmptyMesh) as exc:
+                raise ConfigError(f"bad mesh file {path!r}: {exc}") from exc
             return SurfaceHandle(None, mesh), dict(spec)
         raise ConfigError(
             f"unknown surface preset {name!r}; "

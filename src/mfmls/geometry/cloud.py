@@ -19,12 +19,16 @@ from ..errors import QueryTooLarge, SinglePointCloud
 
 
 class PointCloud:
-    """Immutable set of distinct points in R^N with a lazy k-d tree index."""
+    """Immutable set of distinct, finite points in R^N with a lazy k-d tree index."""
 
     def __init__(self, points):
         pts = np.ascontiguousarray(np.asarray(points, dtype=np.float64))
         if pts.ndim != 2:
             raise ValueError(f"points must be (n, dim), got shape {pts.shape}")
+        finite = np.isfinite(pts).all(axis=1)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise ValueError(f"point {i} is not finite: {pts[i]}")
         if len(pts) > 1:
             # Exact duplicates would make separation zero and stencil weights
             # ambiguous; reject them up front.

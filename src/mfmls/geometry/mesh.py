@@ -16,7 +16,8 @@ class TriMesh:
     """An indexed triangle mesh in R^3.
 
     Degenerate triangles (zero or near-zero area) are dropped on
-    construction; an empty result raises :class:`EmptyMesh`.
+    construction; an empty result raises :class:`EmptyMesh`. A non-finite
+    vertex raises :class:`MeshFormatError`.
     """
 
     def __init__(self, vertices: np.ndarray, triangles: np.ndarray):
@@ -24,6 +25,10 @@ class TriMesh:
         triangles = np.ascontiguousarray(triangles, dtype=np.intp)
         if vertices.ndim != 2 or vertices.shape[1] != 3:
             raise MeshFormatError(f"vertices must be (n, 3), got {vertices.shape}")
+        finite = np.isfinite(vertices).all(axis=1)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise MeshFormatError(f"vertex {i} is not finite: {vertices[i]}")
         if triangles.ndim != 2 or triangles.shape[1] != 3:
             raise MeshFormatError(f"triangles must be (m, 3), got {triangles.shape}")
         if len(triangles) and (triangles.min() < 0 or triangles.max() >= len(vertices)):
@@ -123,6 +128,8 @@ def sample_mesh(mesh: TriMesh, n: int, seed: int, *, oversample: float = 20.0) -
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
+    if not math.isfinite(oversample):
+        raise ValueError(f"oversample must be finite, got {oversample}")
     rng = np.random.default_rng(seed)
     pool_size = max(int(math.ceil(oversample * n)), 64)
     tri_ids = rng.choice(len(mesh), size=pool_size, p=mesh.areas / mesh.total_area)

@@ -256,6 +256,23 @@ def test_sample_missing_mesh_path(tmp_path, capsys):
     assert "nope.obj" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("v nan 0 1\nv 1 0 0\nv 0 1 0\nf 1 2 3\n", "vertex 0 is not finite"),
+        ("v 0 0 0\nv 1 0 0\nv 2 0 0\nf 1 2 3\n", "no non-degenerate triangles"),
+        ("v 0 0 0\nv 1 0 0\nf 1 2\n", "face needs at least 3 vertices"),
+    ],
+)
+def test_bad_mesh_file_exits_2(tmp_path, capsys, text, message):
+    mesh_path = tmp_path / "bad.obj"
+    mesh_path.write_text(text)
+    cfg_path = write_config(tmp_path, surface={"preset": "mesh", "path": str(mesh_path)})
+    assert main(["sample", "--config", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "bad.obj" in err and message in err
+
+
 def test_missing_config_file(tmp_path, capsys):
     assert main(["sample", "--config", str(tmp_path / "absent.json")]) == 2
     assert "config error" in capsys.readouterr().err

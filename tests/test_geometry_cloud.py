@@ -22,6 +22,15 @@ def random_cloud():
 # k nearest neighbors
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_point_rejected(bad):
+    pts = np.zeros((3, 3))
+    pts[:, 0] = [0.0, 1.0, 2.0]
+    pts[1, 2] = bad
+    with pytest.raises(ValueError, match="point 1 is not finite"):
+        PointCloud(pts)
+
+
 def test_knn_breaks_ties_by_index():
     pts = np.array([
         [1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0], [0, -1.0, 0],

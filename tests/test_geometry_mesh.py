@@ -88,6 +88,22 @@ def test_trimesh_validation():
         TriMesh(v, np.array([[0, 1, 3]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_vertex_rejected(bad):
+    v = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    v[2, 1] = bad
+    with pytest.raises(MeshFormatError, match="vertex 2 is not finite"):
+        TriMesh(v, np.array([[0, 1, 3]]))
+
+
+@pytest.mark.parametrize("oversample", [np.nan, np.inf])
+def test_non_finite_oversample_rejected(oversample):
+    v = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]])
+    mesh = TriMesh(v, np.array([[0, 1, 2]]))
+    with pytest.raises(ValueError, match="oversample"):
+        sample_mesh(mesh, 10, seed=0, oversample=oversample)
+
+
 def test_sample_single_triangle():
     v = np.array([[0.0, 0, 0], [2, 0, 0], [0, 2, 0]])
     mesh = TriMesh(v, np.array([[0, 1, 2]]))

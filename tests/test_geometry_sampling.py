@@ -1,7 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
 
-from mfmls.geometry import presets
+from mfmls.geometry import presets, sampling
 from mfmls.geometry.cloud import BallRestriction, density_stats, restrict, save_csv
 from mfmls.geometry.sampling import _greedy_thin, sample_quasi_uniform
 
@@ -92,6 +94,12 @@ def test_invalid_requests():
         sample_quasi_uniform(s, 100, seed=1, oversample=2)
 
 
+@pytest.mark.parametrize("oversample", [np.nan, np.inf])
+def test_non_finite_oversample_rejected(oversample):
+    with pytest.raises(ValueError, match="oversample"):
+        sample_quasi_uniform(presets.sphere(), 100, seed=1, oversample=oversample)
+
+
 @pytest.mark.parametrize(
     "preset, seed",
     [("torus", 438497551), ("cyclide", 3285388380)],
@@ -118,6 +126,11 @@ def brute_force_greedy_thin(points, radius, limit=None):
     return np.asarray(accepted, dtype=np.intp)
 
 
+@functools.cache
+def _brute_force_results(dim, limit):
+    return [brute_force_greedy_thin(p, r, limit) for p, r in _thinning_cases(dim)]
+
+
 def _thinning_cases(dim):
     """Random, clustered, lattice and degenerate inputs of dimension ``dim``."""
     rng = np.random.default_rng(dim)
@@ -128,6 +141,19 @@ def _thinning_cases(dim):
     # which the strict "closer than radius" test must accept.
     lattice = np.indices((6,) * dim).reshape(dim, -1).T * 0.25
     yield lattice[rng.permutation(len(lattice))], 0.25
+    # Beside the x = 0 face of a smaller such lattice, points at
+    # x = -0.25 * (1 -+ 1e-15): each lies just inside or just outside the
+    # radius of its face point.
+    lattice = lattice[(lattice <= 0.75).all(axis=1)]
+    near = lattice[lattice[:, 0] == 0.0]
+    near[:, 0] = -0.25 * (1.0 + np.where(np.arange(len(near)) % 2, 1e-15, -1e-15))
+    assert (np.abs(near[:, 0]) != 0.25).all()
+    both = np.vstack([lattice, near])
+    yield both[rng.permutation(len(both))], 0.25
+    if dim in (3, 4):
+        # Enough points to cross many default-size batches; most are
+        # rejected, so the k-d prefilter does real work.
+        yield rng.random((20_000, dim)), {3: 0.08, 4: 0.2}[dim]
     yield np.zeros((1, dim)), radius
     yield np.zeros((0, dim)), radius
     if dim == 3:
@@ -149,10 +175,26 @@ def _thinning_cases(dim):
         ]), 1.0
 
 
-@pytest.mark.parametrize("limit", [None, 7])
-@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
-def test_greedy_thin_matches_brute_force(dim, limit):
-    for points, radius in _thinning_cases(dim):
+# Prefilter batch sizes (first, cap): the defaults, and tiny ones so that
+# every case crosses many batch boundaries and tree rebuilds.
+_BATCH_SIZES = {"": None, "-batch1": (1, 1), "-batch1to3": (1, 3)}
+
+
+@pytest.mark.parametrize(
+    "dim, limit, batches",
+    [
+        pytest.param(dim, limit, batches, id=f"{dim}-{limit}{tag}")
+        for tag, batches in _BATCH_SIZES.items()
+        for dim in (1, 2, 3, 4, 5)
+        for limit in (7, None)
+    ],
+)
+def test_greedy_thin_matches_brute_force(dim, limit, batches, monkeypatch):
+    if batches is not None:
+        monkeypatch.setattr(sampling, "_THIN_BATCH_FIRST", batches[0])
+        monkeypatch.setattr(sampling, "_THIN_BATCH_MAX", batches[1])
+    expected = _brute_force_results(dim, limit)
+    for (points, radius), want in zip(_thinning_cases(dim), expected, strict=True):
         got = _greedy_thin(points, radius, limit)
         assert got.dtype == np.intp
-        np.testing.assert_array_equal(got, brute_force_greedy_thin(points, radius, limit))
+        np.testing.assert_array_equal(got, want)
