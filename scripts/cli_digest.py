@@ -12,8 +12,16 @@ and ``2``, inside a temporary directory. Prints one
 command's stdout, plus a ``code  config/command/tN/exit`` line with its exit
 code. ``timings.csv`` holds wall times and is skipped. A refactor that claims
 byte-identical CLI outputs is checked by diffing this script's output at the
-parent commit and at the change. Not part of the test suite: it takes about a
-minute.
+parent commit and at the change.
+
+A second pass runs everything again with the process pinned to one CPU (the
+lowest one it may use; the affinity mask is restored afterwards) and prints
+its lines as ``c1/config/command/tN/file``. MLS assembly uses every CPU the
+process may use, so the outputs must not depend on that number::
+
+    grep '  c1/' digests.txt | sed 's#  c1/#  #' | diff - <(grep -v '  c1/' digests.txt)
+
+Not part of the test suite: it takes about two minutes.
 """
 
 from __future__ import annotations
@@ -92,7 +100,7 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_all() -> None:
+def run_all(tag: str) -> None:
     """Run every command on every config; print the digests (cwd is scratch)."""
     with open("octahedron.obj", "w", encoding="ascii") as fh:
         fh.write(OCTAHEDRON_OBJ)
@@ -111,21 +119,31 @@ def run_all() -> None:
                 for file in files:
                     if file != "timings.csv":
                         with open(os.path.join(run, file), "rb") as fh:
-                            print(f"{sha256(fh.read())}  {run}/{file}")
-                print(f"{sha256(stdout.getvalue().encode())}  {run}/stdout")
-                print(f"{code}  {run}/exit")
+                            print(f"{sha256(fh.read())}  {tag}{run}/{file}")
+                print(f"{sha256(stdout.getvalue().encode())}  {tag}{run}/stdout")
+                print(f"{code}  {tag}{run}/exit")
 
 
-def main() -> int:
+def run_in_tempdir(tag: str) -> None:
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         # Relative output paths keep the temporary directory out of stdout
         # (``sample`` prints the file it wrote).
         os.chdir(tmp)
         try:
-            run_all()
+            run_all(tag)
         finally:
             os.chdir(home)
+
+
+def main() -> int:
+    run_in_tempdir("")
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        run_in_tempdir("c1/")
+    finally:
+        os.sched_setaffinity(0, cpus)
     return 0
 
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from ..errors import EmptyMesh, MeshFormatError, SamplingFailed
 from .cloud import PointCloud
-from .sampling import _greedy_thin, _packed_cloud
+from .sampling import _check_oversample, _greedy_thin, _packed_cloud
 
 
 class TriMesh:
@@ -124,12 +124,12 @@ def sample_mesh(mesh: TriMesh, n: int, seed: int, *, oversample: float = 20.0) -
     the radius until exactly ``n`` points are accepted. The radius is not
     allowed to collapse: if reaching ``n`` would require spacing below a
     quarter of the ideal packing radius, :class:`SamplingFailed` is raised
-    (the pool is too small for the request).
+    (the pool is too small for the request). ``oversample`` must be finite
+    and at least 4, as for :func:`sample_quasi_uniform`.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    if not math.isfinite(oversample):
-        raise ValueError(f"oversample must be finite, got {oversample}")
+    _check_oversample(oversample)
     rng = np.random.default_rng(seed)
     pool_size = max(int(math.ceil(oversample * n)), 64)
     tri_ids = rng.choice(len(mesh), size=pool_size, p=mesh.areas / mesh.total_area)

@@ -280,6 +280,12 @@ def _calibrated_packing(cands: np.ndarray, n_target: int) -> np.ndarray:
     raise SamplingFailed(f"separation calibration did not settle near {n_target} points")
 
 
+def _check_oversample(oversample: float) -> None:
+    """Reject a candidate-pool multiple that is not finite or is below 4."""
+    if not (math.isfinite(oversample) and oversample >= 4):
+        raise ValueError(f"oversample must be finite and at least 4, got {oversample}")
+
+
 def sample_quasi_uniform(
     surface: AlgebraicSurface,
     n_target: int,
@@ -323,8 +329,7 @@ def sample_quasi_uniform(
     """
     if n_target < 1:
         raise ValueError(f"n_target must be positive, got {n_target}")
-    if not (math.isfinite(oversample) and oversample >= 4):
-        raise ValueError(f"oversample must be finite and at least 4, got {oversample}")
+    _check_oversample(oversample)
 
     # A floor on the pool size keeps the area estimate and the fill probes
     # meaningful for small requests.

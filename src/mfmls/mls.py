@@ -13,15 +13,26 @@ is far from independent on it.
 ``shape_function_matrix`` does the same arithmetic for many points at once.
 It walks the evaluation points in blocks whose stencil rows fit
 ``_FIT_BLOCK`` words of work space. Per block it makes one ball query, one
-weight and one Vandermonde evaluation over all stencil rows, one stacked SVD
-per stencil size and one stacked product per (size, rank), and it writes the
-rows straight into the CSR arrays. Every row is bit-identical to the
-per-point result, and the memory beyond the output is bounded by the block,
-not by the number of points.
+weight and one Vandermonde evaluation over all stencil rows, stacked SVDs of
+equal-size stencils (at most ``_STACK_WORDS`` words each) and one stacked
+product per stack and rank, and it writes the rows straight into the CSR
+arrays. Every row is bit-identical to the per-point result, and the memory
+beyond the output is bounded by the block, not by the number of points.
+
+The fits are independent, so the blocks run on W workers, W being the
+number of CPUs the process may use at the time of the call: the calling
+thread and W - 1 helper threads. The workers share the work space, each
+block getting ``_FIT_BLOCK // W`` words. Each worker claims the next block
+in order; whoever finishes the oldest unwritten block writes it, and every
+finished block after it, into the diagnostics and CSR arrays. At most
+``_WINDOW * W`` blocks are claimed but not yet written. Block boundaries
+never change a row, so the output is the same for every W.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from itertools import chain
 
@@ -43,6 +54,11 @@ _EPS = 2.0**-52
 # distances, weights, the ball query's lists).
 _FIT_BLOCK = 2**18
 _ROW_WORDS = 24
+# Words of Vandermonde rows per stacked SVD: its input copy and factors stay
+# small next to the block.
+_STACK_WORDS = 2**13
+# Blocks per worker that may be claimed but not yet written.
+_WINDOW = 2
 
 
 @dataclass(frozen=True)
@@ -268,8 +284,11 @@ def shape_function_matrix(
     indices = np.empty(int(counts.sum()), dtype=np.int32)
     data = np.empty(len(indices))
     max_attempts = 4 if config.escalate_delta else 1
-    max_rows = max(1, _FIT_BLOCK // (basis.size + _ROW_WORDS))
-    for lo, hi in _blocks(counts, max_rows):
+    workers = _worker_count()
+    max_rows = max(1, _FIT_BLOCK // workers // (basis.size + _ROW_WORDS))
+
+    def fit_block(span):
+        lo, hi = span
         todo = np.arange(lo, hi)
         delta = np.full(hi - lo, base_delta)
         fits = []
@@ -278,32 +297,110 @@ def shape_function_matrix(
                 cloud, eval_points[todo], delta, basis, config.rank_threshold_factor
             )
             ok = fit.rank > 0
-            done = todo[ok]
-            diag.delta[done] = delta[ok]
+            fits.append((todo[ok], delta[ok], ok, fit))
+            todo, delta = todo[~ok], 2.0 * delta[~ok]
+            if len(todo) == 0:
+                break
+        return lo, hi, fits
+
+    def write_block(result):
+        lo, hi, fits = result
+        for done, delta, ok, fit in fits:
+            diag.delta[done] = delta
             diag.rank[done] = fit.rank[ok]
             diag.n_neighbors[done] = fit.n_rows[ok]
             diag.cond[done] = fit.cond[ok]
             diag.lebesgue[done] = fit.lebesgue[ok]
             diag.failed[done] = False
-            fits.append((done, fit.n_rows[ok], fit.cols, fit.weights))
-            todo, delta = todo[~ok], 2.0 * delta[~ok]
-            if len(todo) == 0:
-                break
         indptr[lo + 1 : hi + 1] = indptr[lo] + np.cumsum(diag.n_neighbors[lo:hi])
         if indptr[hi] > len(data):
             size = max(2 * len(data), int(indptr[hi]))
             indices.resize(size, refcheck=False)
             data.resize(size, refcheck=False)
-        for done, n_rows, cols, weights in fits:
+        for done, _, ok, fit in fits:
+            n_rows = fit.n_rows[ok]
             first = np.cumsum(n_rows) - n_rows
-            dest = np.repeat(indptr[done] - first, n_rows) + np.arange(len(cols))
-            indices[dest] = cols
-            data[dest] = weights
+            dest = np.repeat(indptr[done] - first, n_rows) + np.arange(len(fit.cols))
+            indices[dest] = fit.cols
+            data[dest] = fit.weights
+
+    _map_in_order(fit_block, _blocks(counts, max_rows), write_block, workers)
     nnz = int(indptr[-1])
     indices.resize(nnz, refcheck=False)
     data.resize(nnz, refcheck=False)
     B = sparse.csr_matrix((data, indices, indptr), shape=(n_eval, len(cloud)))
     return B, diag
+
+
+def _worker_count() -> int:
+    """Number of CPUs this process may run on, read at each call."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _map_in_order(work, jobs, write, workers: int) -> None:
+    """``write(work(job))`` for every job, the writes in job order.
+
+    The calling thread and ``workers - 1`` helper threads claim jobs in
+    order, at most ``_WINDOW * workers`` of them ahead of the oldest
+    unwritten one. Whoever finishes the oldest unwritten job writes it and
+    every finished job after it, under the lock, so ``write`` never runs
+    concurrently with itself. Once a job raises, no further job starts;
+    after every helper has stopped, the error of the first failed job in
+    job order is raised, the one a serial loop would raise.
+    """
+    jobs = iter(jobs)
+    cond = threading.Condition()
+    finished: dict[int, object] = {}
+    errors: dict[int, BaseException] = {}
+    claimed = written = 0
+    stop = False
+
+    def run():
+        nonlocal claimed, written, stop
+        while True:
+            with cond:
+                while not (stop or errors) and claimed >= written + _WINDOW * workers:
+                    cond.wait()
+                job = None if stop or errors else next(jobs, None)
+                if job is None:
+                    stop = True
+                    cond.notify_all()
+                    return
+                j = claimed
+                claimed += 1
+            try:
+                result = work(job)
+            except BaseException as exc:
+                with cond:
+                    errors[j] = exc
+                    cond.notify_all()
+                return
+            with cond:
+                finished[j] = result
+                try:
+                    while written in finished:
+                        write(finished.pop(written))
+                        written += 1
+                except BaseException as exc:
+                    errors[written] = exc
+                cond.notify_all()
+
+    helpers = [threading.Thread(target=run) for _ in range(workers - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        run()
+    finally:
+        with cond:
+            stop = True
+            cond.notify_all()
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[min(errors)]
 
 
 def _blocks(counts: np.ndarray, max_rows: int):
@@ -341,8 +438,8 @@ def _fit_many(
 
     Every floating-point step is the one ``local_fit`` takes, applied row by
     row to all stencils at once: the same distances, weights and Vandermonde
-    rows, one stacked SVD per stencil size, and per (size, rank) one stacked
-    matrix-vector product for ``b*``. Lebesgue sums run over a contiguous
+    rows, stacked SVDs of stencils of one size, and per stack and rank one
+    stacked matrix-vector product for ``b*``. Lebesgue sums run over a contiguous
     axis, as the 1-D sum in the per-point loop does.
     """
     n_pts = len(centers)
@@ -368,19 +465,22 @@ def _fit_many(
     leb = np.full(n_pts, np.nan)
     weights = np.empty(len(cols))
     for m in np.unique(n_rows[fittable]):
-        pts = np.flatnonzero(fittable & (n_rows == m))
-        rows = first[pts][:, None] + np.arange(m)
-        U, S, Vt = np.linalg.svd(A[rows], full_matrices=False)
-        threshold = rank_threshold_factor * m * S[:, 0] * _EPS
-        k_all = (S > threshold[:, None]).sum(axis=1)
-        for k in np.unique(k_all[k_all > 0]):
-            sel = np.flatnonzero(k_all == k)
-            coef = Vt[sel, :k, 0] / S[sel, :k]
-            b = sw[rows[sel]] * (U[sel, :, :k] @ coef[:, :, None])[:, :, 0]
-            weights[rows[sel]] = b
-            rank[pts[sel]] = k
-            cond[pts[sel]] = S[sel, 0] / S[sel, k - 1]
-            leb[pts[sel]] = np.abs(b).sum(axis=1)
+        same = np.flatnonzero(fittable & (n_rows == m))
+        step = max(1, _STACK_WORDS // (m * basis.size))
+        for lo in range(0, len(same), step):
+            pts = same[lo : lo + step]
+            rows = first[pts][:, None] + np.arange(m)
+            U, S, Vt = np.linalg.svd(A[rows], full_matrices=False)
+            threshold = rank_threshold_factor * m * S[:, 0] * _EPS
+            k_all = (S > threshold[:, None]).sum(axis=1)
+            for k in np.unique(k_all[k_all > 0]):
+                sel = np.flatnonzero(k_all == k)
+                coef = Vt[sel, :k, 0] / S[sel, :k]
+                b = sw[rows[sel]] * (U[sel, :, :k] @ coef[:, :, None])[:, :, 0]
+                weights[rows[sel]] = b
+                rank[pts[sel]] = k
+                cond[pts[sel]] = S[sel, 0] / S[sel, k - 1]
+                leb[pts[sel]] = np.abs(b).sum(axis=1)
     kept = rank[owner] > 0
     return _Fits(rank, n_rows, cond, leb, cols[kept], weights[kept])
 

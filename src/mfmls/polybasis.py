@@ -21,6 +21,9 @@ from math import comb
 
 import numpy as np
 
+# Words of gathered powers per row chunk of a Vandermonde matrix.
+_CHUNK_WORDS = 2**13
+
 
 def basis_size(ambient_dim: int, degree: int) -> int:
     """Number of monomials of total degree <= degree in ambient_dim variables."""
@@ -105,15 +108,20 @@ def eval_scaled_basis(
 
 def _vandermonde(exponents: np.ndarray, u: np.ndarray) -> np.ndarray:
     # Power tables: one cumulative-product pass per variable instead of a
-    # fresh u**alpha for each of the M monomials.
+    # fresh u**alpha for each of the M monomials. Rows go in chunks of about
+    # _CHUNK_WORDS words, so the gathered powers never hold a second copy of
+    # V; every entry is the same product either way.
     npts, nvars = u.shape
     maxdeg = int(exponents.max()) if len(exponents) else 0
-    powers = np.ones((nvars, maxdeg + 1, npts))
-    for e in range(1, maxdeg + 1):
-        powers[:, e] = powers[:, e - 1] * u.T
     V = np.ones((npts, len(exponents)))
-    for j in range(nvars):
-        V *= powers[j, exponents[:, j]].T
+    step = max(1, _CHUNK_WORDS // max(1, len(exponents)))
+    for lo in range(0, npts, step):
+        uT = u[lo : lo + step].T
+        powers = np.ones((nvars, maxdeg + 1, uT.shape[1]))
+        for e in range(1, maxdeg + 1):
+            powers[:, e] = powers[:, e - 1] * uT
+        for j in range(nvars):
+            V[lo : lo + step] *= powers[j, exponents[:, j]].T
     return V
 
 

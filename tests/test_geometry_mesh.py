@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from mfmls.errors import EmptyMesh, MeshFormatError, SamplingFailed
+from mfmls.errors import EmptyMesh, MeshFormatError
 from mfmls.geometry.mesh import TriMesh, load_obj, sample_mesh
+from mfmls.geometry.presets import sphere
+from mfmls.geometry.sampling import sample_quasi_uniform
 
 TETRA = """\
 # simple tetrahedron
@@ -104,6 +106,18 @@ def test_non_finite_oversample_rejected(oversample):
         sample_mesh(mesh, 10, seed=0, oversample=oversample)
 
 
+@pytest.mark.parametrize("oversample", [0.0, -5.0, 3.9])
+def test_oversample_below_four_rejected(oversample):
+    # The same rule and message as sample_quasi_uniform; the pool floor of 64
+    # draws must not hide a nonsensical multiple.
+    v = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]])
+    mesh = TriMesh(v, np.array([[0, 1, 2]]))
+    with pytest.raises(ValueError, match="oversample must be finite and at least 4"):
+        sample_mesh(mesh, 10, seed=0, oversample=oversample)
+    with pytest.raises(ValueError, match="oversample must be finite and at least 4"):
+        sample_quasi_uniform(sphere(), 10, seed=0, oversample=oversample)
+
+
 def test_sample_single_triangle():
     v = np.array([[0.0, 0, 0], [2, 0, 0], [0, 2, 0]])
     mesh = TriMesh(v, np.array([[0, 1, 2]]))
@@ -163,7 +177,9 @@ def test_two_far_components_keep_exact_count_and_separation():
 
 
 def test_oversample_too_small():
+    # A pool barely larger than the request is rejected up front, before any
+    # draw, instead of failing the spacing calibration.
     v = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]])
     mesh = TriMesh(v, np.array([[0, 1, 2]]))
-    with pytest.raises(SamplingFailed):
+    with pytest.raises(ValueError, match="at least 4"):
         sample_mesh(mesh, 100, seed=0, oversample=1.01)

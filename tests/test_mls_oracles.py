@@ -3,6 +3,8 @@ replaced (``build_stencil`` + ``local_fit`` + radius escalation), kept here as
 the oracle, and the memory bound of the walk."""
 
 import functools
+import sys
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -157,15 +159,17 @@ def assembly_case(draw):
         rank_threshold_factor=draw(st.sampled_from([1.0, 1e6])),
     )
     block = draw(st.sampled_from([1, 3000, mls._FIT_BLOCK]))
-    return cloud, evals[order], config, block
+    workers = draw(st.sampled_from([1, 2, 3]))
+    return cloud, evals[order], config, block, workers
 
 
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(assembly_case())
 def test_block_walk_matches_per_point_loop(case):
-    cloud, evals, config, block = case
-    with mock.patch.object(mls, "_FIT_BLOCK", block):
+    cloud, evals, config, block, workers = case
+    with mock.patch.object(mls, "_FIT_BLOCK", block), \
+            mock.patch.object(mls, "_worker_count", lambda: workers):
         try:
             want = reference_shape_function_matrix(cloud, evals, config)
         except TooFewPoints:
@@ -186,6 +190,61 @@ def test_escalated_rows_outgrow_the_planned_output():
     assert not got[1].failed.any()
     assert (got[1].delta > 0.3).all()
     assert_same_assembly(got, reference_shape_function_matrix(cloud, evals, config))
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_block_error_is_raised_in_block_order(workers):
+    # One point per block. The third block raises, but only after a later
+    # block has raised another error. The call raises the third block's
+    # error, as a serial walk would, and leaves no thread behind.
+    cloud, evals = cyclide_cloud()
+    first = np.linalg.LinAlgError("SVD did not converge")
+    later_raised = threading.Event()
+    real = mls._fit_many
+
+    def failing_fit_many(cloud, centers, *args):
+        i = int(np.flatnonzero((evals == centers[0]).all(axis=1))[0])
+        if i == 2:
+            later_raised.wait(timeout=30)
+            raise first
+        if i > 2:
+            later_raised.set()
+            raise np.linalg.LinAlgError(f"block {i}")
+        return real(cloud, centers, *args)
+
+    threads = threading.active_count()
+    with mock.patch.object(mls, "_FIT_BLOCK", 1), \
+            mock.patch.object(mls, "_worker_count", lambda: workers), \
+            mock.patch.object(mls, "_fit_many", failing_fit_many):
+        with pytest.raises(np.linalg.LinAlgError) as raised:
+            shape_function_matrix(cloud, evals, MlsConfig(degree=2, delta=0.8))
+    assert raised.value is first
+    assert later_raised.is_set()
+    assert threading.active_count() == threads
+
+
+def test_more_workers_than_cores_write_every_block():
+    # Six workers, blocks of about 30 stencil rows (one or two points) and a
+    # short switch interval provoke many interleavings of claims and writes;
+    # a lost or misplaced write would change a row or a diagnostic.
+    cloud, evals = cyclide_cloud()
+    config = MlsConfig(degree=2, delta=0.8, escalate_delta=True)
+    want = reference_shape_function_matrix(cloud, evals, config)
+    block = 6 * (MonomialBasis(3, 2).size + mls._ROW_WORDS) * 30
+    got = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(mls, "_FIT_BLOCK", block), \
+                mock.patch.object(mls, "_worker_count", lambda: 6):
+            caller = threading.Thread(
+                target=lambda: got.append(shape_function_matrix(cloud, evals, config)))
+            caller.start()
+            caller.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not caller.is_alive()
+    assert_same_assembly(got[0], want)
 
 
 def _assembly_margin(cloud, evals, config):
