@@ -2,7 +2,7 @@
 
 Usage (from the root of a source checkout)::
 
-    PYTHONPATH=src python3 scripts/cli_digest.py > digests.txt
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/cli_digest.py > digests.txt
 
 Runs ``sample``, ``convergence``, ``lebesgue``, ``noise``, ``power`` and
 ``info`` on a sphere config, a cyclide-patch config and a config on an
@@ -16,8 +16,9 @@ parent commit and at the change.
 
 A second pass runs everything again with the process pinned to one CPU (the
 lowest one it may use; the affinity mask is restored afterwards) and prints
-its lines as ``c1/config/command/tN/file``. MLS assembly uses every CPU the
-process may use, so the outputs must not depend on that number::
+its lines as ``c1/config/command/tN/file``. With BLAS held to one thread,
+as above, MLS assembly fits on two CPUs in the first pass and on one in the
+second, and the outputs must not depend on that number::
 
     grep '  c1/' digests.txt | sed 's#  c1/#  #' | diff - <(grep -v '  c1/' digests.txt)
 

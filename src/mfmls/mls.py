@@ -19,20 +19,22 @@ product per stack and rank, and it writes the rows straight into the CSR
 arrays. Every row is bit-identical to the per-point result, and the memory
 beyond the output is bounded by the block, not by the number of points.
 
-The fits are independent, so the blocks run on W workers, W being the
-number of CPUs the process may use at the time of the call: the calling
-thread and W - 1 helper threads. The workers share the work space, each
-block getting ``_FIT_BLOCK // W`` words. Each worker claims the next block
-in order; whoever finishes the oldest unwritten block writes it, and every
-finished block after it, into the diagnostics and CSR arrays. At most
-``_WINDOW * W`` blocks are claimed but not yet written. Block boundaries
-never change a row, so the output is the same for every W.
+The fits are independent, so the blocks run on W workers: the calling
+thread and W - 1 helper threads. W is read at each call. It is 1 unless
+BLAS is held to one thread, and then the number of CPUs the process may
+use, at most ``_MAX_WORKERS``. The workers share the work space, each block
+getting ``_FIT_BLOCK // W`` words. The calling thread queues blocks for the
+helpers, fits the others itself, and writes every block into the
+diagnostics and CSR arrays in block order; at most ``_QUEUED * W`` blocks
+are started but not written. Block boundaries never change a row, so the
+output is the same for every W.
 """
 
 from __future__ import annotations
 
 import os
-import threading
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import chain
 
@@ -57,8 +59,13 @@ _ROW_WORDS = 24
 # Words of Vandermonde rows per stacked SVD: its input copy and factors stay
 # small next to the block.
 _STACK_WORDS = 2**13
-# Blocks per worker that may be claimed but not yet written.
-_WINDOW = 2
+# Most workers an assembly uses; more have not been measured.
+_MAX_WORKERS = 2
+# Blocks queued or running per helper thread, and started but unwritten
+# blocks per worker. Three kept a helper busier (m=3-5 fits about 5% faster)
+# but let so many finished m=0 blocks wait that their memory grew with the
+# number of points.
+_QUEUED = 2
 
 
 @dataclass(frozen=True)
@@ -333,74 +340,59 @@ def shape_function_matrix(
 
 
 def _worker_count() -> int:
-    """Number of CPUs this process may run on, read at each call."""
+    """Workers for one assembly, read at each call.
+
+    One unless BLAS is held to one thread (``OPENBLAS_NUM_THREADS``, or
+    failing that ``OMP_NUM_THREADS``, is 1): a multithreaded BLAS already
+    spreads each SVD over the cores, and small SVDs from two workers then
+    queue inside it. Otherwise the CPUs the process may run on, at most
+    ``_MAX_WORKERS``.
+    """
+    env = os.environ
+    if env.get("OPENBLAS_NUM_THREADS", env.get("OMP_NUM_THREADS", "")).strip() != "1":
+        return 1
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity mask on this platform
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    return min(cpus, _MAX_WORKERS)
 
 
 def _map_in_order(work, jobs, write, workers: int) -> None:
     """``write(work(job))`` for every job, the writes in job order.
 
-    The calling thread and ``workers - 1`` helper threads claim jobs in
-    order, at most ``_WINDOW * workers`` of them ahead of the oldest
-    unwritten one. Whoever finishes the oldest unwritten job writes it and
-    every finished job after it, under the lock, so ``write`` never runs
-    concurrently with itself. Once a job raises, no further job starts;
-    after every helper has stopped, the error of the first failed job in
-    job order is raised, the one a serial loop would raise.
+    The calling thread hands jobs to ``workers - 1`` helper threads until
+    ``_QUEUED`` per helper are queued or running, and runs the next job
+    itself otherwise; after each job it writes every finished job at the
+    head of the line. At most ``_QUEUED * workers`` jobs are started but not
+    written. The first error in job order is raised, the one a serial loop
+    would raise, once the helpers have stopped.
     """
-    jobs = iter(jobs)
-    cond = threading.Condition()
-    finished: dict[int, object] = {}
-    errors: dict[int, BaseException] = {}
-    claimed = written = 0
-    stop = False
+    pending: deque[Future] = deque()
+    with ThreadPoolExecutor(max(1, workers - 1)) as helpers:
+        try:
+            for job in jobs:
+                if sum(not f.done() for f in pending) < _QUEUED * (workers - 1):
+                    pending.append(helpers.submit(work, job))
+                else:
+                    pending.append(_run_here(work, job))
+                while pending and (pending[0].done() or len(pending) > _QUEUED * workers):
+                    write(pending.popleft().result())
+            while pending:
+                write(pending.popleft().result())
+        finally:
+            for future in pending:
+                future.cancel()
 
-    def run():
-        nonlocal claimed, written, stop
-        while True:
-            with cond:
-                while not (stop or errors) and claimed >= written + _WINDOW * workers:
-                    cond.wait()
-                job = None if stop or errors else next(jobs, None)
-                if job is None:
-                    stop = True
-                    cond.notify_all()
-                    return
-                j = claimed
-                claimed += 1
-            try:
-                result = work(job)
-            except BaseException as exc:
-                with cond:
-                    errors[j] = exc
-                    cond.notify_all()
-                return
-            with cond:
-                finished[j] = result
-                try:
-                    while written in finished:
-                        write(finished.pop(written))
-                        written += 1
-                except BaseException as exc:
-                    errors[written] = exc
-                cond.notify_all()
 
-    helpers = [threading.Thread(target=run) for _ in range(workers - 1)]
-    for helper in helpers:
-        helper.start()
+def _run_here(work, job) -> Future:
+    """A finished future holding ``work(job)``, run in the calling thread."""
+    future: Future = Future()
     try:
-        run()
-    finally:
-        with cond:
-            stop = True
-            cond.notify_all()
-        for helper in helpers:
-            helper.join()
-    if errors:
-        raise errors[min(errors)]
+        future.set_result(work(job))
+    except Exception as exc:
+        future.set_exception(exc)
+    return future
 
 
 def _blocks(counts: np.ndarray, max_rows: int):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from mfmls.errors import EmptyMesh, MeshFormatError
+from mfmls.errors import EmptyMesh, MeshFormatError, SamplingFailed
+from mfmls.geometry import mesh as mesh_module
 from mfmls.geometry.mesh import TriMesh, load_obj, sample_mesh
 from mfmls.geometry.presets import sphere
 from mfmls.geometry.sampling import sample_quasi_uniform
@@ -176,10 +177,14 @@ def test_two_far_components_keep_exact_count_and_separation():
     assert cloud.separation == dist.min()
 
 
-def test_oversample_too_small():
-    # A pool barely larger than the request is rejected up front, before any
-    # draw, instead of failing the spacing calibration.
+def test_oversample_too_small(monkeypatch):
+    # A pool that holds too few well-spread points: every thinning pass
+    # accepts half the request, so the radius shrinks past its floor and the
+    # call gives up instead of packing points arbitrarily close.
+    thin = mesh_module._greedy_thin
+    monkeypatch.setattr(mesh_module, "_greedy_thin",
+                        lambda pool, radius, limit: thin(pool, radius, limit)[: limit // 2])
     v = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]])
     mesh = TriMesh(v, np.array([[0, 1, 2]]))
-    with pytest.raises(ValueError, match="at least 4"):
-        sample_mesh(mesh, 100, seed=0, oversample=1.01)
+    with pytest.raises(SamplingFailed, match="pool of 400 saturated"):
+        sample_mesh(mesh, 100, seed=0, oversample=4.0)

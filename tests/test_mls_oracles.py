@@ -194,9 +194,10 @@ def test_escalated_rows_outgrow_the_planned_output():
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_block_error_is_raised_in_block_order(workers):
-    # One point per block. The third block raises, but only after a later
-    # block has raised another error. The call raises the third block's
-    # error, as a serial walk would, and leaves no thread behind.
+    # One point per block. The third block raises, after waiting (up to a
+    # second) for a later block to raise another error first; with three
+    # workers one does, in the second helper. The call raises the third
+    # block's error, as a serial walk would, and leaves no thread behind.
     cloud, evals = cyclide_cloud()
     first = np.linalg.LinAlgError("SVD did not converge")
     later_raised = threading.Event()
@@ -205,7 +206,7 @@ def test_block_error_is_raised_in_block_order(workers):
     def failing_fit_many(cloud, centers, *args):
         i = int(np.flatnonzero((evals == centers[0]).all(axis=1))[0])
         if i == 2:
-            later_raised.wait(timeout=30)
+            later_raised.wait(timeout=1)
             raise first
         if i > 2:
             later_raised.set()
@@ -219,8 +220,41 @@ def test_block_error_is_raised_in_block_order(workers):
         with pytest.raises(np.linalg.LinAlgError) as raised:
             shape_function_matrix(cloud, evals, MlsConfig(degree=2, delta=0.8))
     assert raised.value is first
-    assert later_raised.is_set()
     assert threading.active_count() == threads
+
+
+def test_block_plan_error_stops_the_helpers():
+    # The block plan itself fails after two blocks went to the helpers.
+    def failing_blocks(counts, max_rows):
+        yield 0, 1
+        yield 1, 2
+        raise MemoryError("block plan")
+
+    cloud, evals = cyclide_cloud()
+    threads = threading.active_count()
+    with mock.patch.object(mls, "_worker_count", lambda: 3), \
+            mock.patch.object(mls, "_blocks", failing_blocks):
+        with pytest.raises(MemoryError, match="block plan"):
+            shape_function_matrix(cloud, evals, MlsConfig(degree=2, delta=0.8))
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("openblas, omp, cpus, want", [
+    (None, None, 8, 1),   # BLAS at its default threads
+    ("4", "1", 8, 1),     # OpenBLAS reads its own variable first
+    ("1", None, 8, 2),    # capped at the measured count
+    (None, "1", 8, 2),
+    ("1", "4", 1, 1),     # pinned to one CPU
+])
+def test_worker_count(monkeypatch, openblas, omp, cpus, want):
+    for name, value in (("OPENBLAS_NUM_THREADS", openblas), ("OMP_NUM_THREADS", omp)):
+        if value is None:
+            monkeypatch.delenv(name, raising=False)
+        else:
+            monkeypatch.setenv(name, value)
+    monkeypatch.setattr(mls.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    assert mls._worker_count() == want
 
 
 def test_more_workers_than_cores_write_every_block():
