@@ -17,8 +17,9 @@ parent commit and at the change.
 A second pass runs everything again with the process pinned to one CPU (the
 lowest one it may use; the affinity mask is restored afterwards) and prints
 its lines as ``c1/config/command/tN/file``. With BLAS held to one thread,
-as above, MLS assembly fits on two CPUs in the first pass and on one in the
-second, and the outputs must not depend on that number::
+as above, MLS assembly and the ``power`` probe blocks run on two CPUs in the
+first pass and on one in the second, and the outputs must not depend on
+that number::
 
     grep '  c1/' digests.txt | sed 's#  c1/#  #' | diff - <(grep -v '  c1/' digests.txt)
 

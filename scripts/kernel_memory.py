@@ -9,7 +9,8 @@ Samples ``--sites`` cyclide sites and ``--probe-factor`` times as many probes
 and evaluates ``power_values`` in a fresh child process, so that the child's
 peak RSS covers the interpreter, the two clouds and the kernel side only, not
 the sampler. Prints one JSON line. Set ``OPENBLAS_NUM_THREADS`` to pin the
-BLAS thread count; it is reported with the result. Not part of the test
+BLAS thread count; it is reported with the result. At 1, the probe blocks
+run on two workers when two CPUs are available. Not part of the test
 suite: n=5655 needs about a minute and close to 1 GB.
 """
 

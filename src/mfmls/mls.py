@@ -19,28 +19,24 @@ product per stack and rank, and it writes the rows straight into the CSR
 arrays. Every row is bit-identical to the per-point result, and the memory
 beyond the output is bounded by the block, not by the number of points.
 
-The fits are independent, so the blocks run on W workers: the calling
-thread and W - 1 helper threads. W is read at each call. It is 1 unless
-BLAS is held to one thread, and then the number of CPUs the process may
-use, at most ``_MAX_WORKERS``. The workers share the work space, each block
-getting ``_FIT_BLOCK // W`` words. The calling thread queues blocks for the
-helpers, fits the others itself, and writes every block into the
-diagnostics and CSR arrays in block order; at most ``_QUEUED * W`` blocks
-are started but not written. Block boundaries never change a row, so the
-output is the same for every W.
+The fits are independent, so the blocks run on W workers under the policy
+of ``_workers``: the calling thread and W - 1 helper threads, W = 1 unless
+BLAS is held to one thread and then at most two. The workers share the work
+space, each block getting ``_FIT_BLOCK // W`` words. The calling thread
+queues blocks for the helpers, fits the others itself, and writes every
+block into the diagnostics and CSR arrays in block order. Block boundaries
+never change a row, so the output is the same for every W.
 """
 
 from __future__ import annotations
 
-import os
-from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 from scipy import sparse
 
+from . import _workers
 from .errors import (
     AllWeightsZero,
     DegenerateFit,
@@ -59,13 +55,6 @@ _ROW_WORDS = 24
 # Words of Vandermonde rows per stacked SVD: its input copy and factors stay
 # small next to the block.
 _STACK_WORDS = 2**13
-# Most workers an assembly uses; more have not been measured.
-_MAX_WORKERS = 2
-# Blocks queued or running per helper thread, and started but unwritten
-# blocks per worker. Three kept a helper busier (m=3-5 fits about 5% faster)
-# but let so many finished m=0 blocks wait that their memory grew with the
-# number of points.
-_QUEUED = 2
 
 
 @dataclass(frozen=True)
@@ -291,7 +280,7 @@ def shape_function_matrix(
     indices = np.empty(int(counts.sum()), dtype=np.int32)
     data = np.empty(len(indices))
     max_attempts = 4 if config.escalate_delta else 1
-    workers = _worker_count()
+    workers = _workers.worker_count()
     max_rows = max(1, _FIT_BLOCK // workers // (basis.size + _ROW_WORDS))
 
     def fit_block(span):
@@ -331,68 +320,12 @@ def shape_function_matrix(
             indices[dest] = fit.cols
             data[dest] = fit.weights
 
-    _map_in_order(fit_block, _blocks(counts, max_rows), write_block, workers)
+    _workers.map_in_order(fit_block, _blocks(counts, max_rows), write_block, workers)
     nnz = int(indptr[-1])
     indices.resize(nnz, refcheck=False)
     data.resize(nnz, refcheck=False)
     B = sparse.csr_matrix((data, indices, indptr), shape=(n_eval, len(cloud)))
     return B, diag
-
-
-def _worker_count() -> int:
-    """Workers for one assembly, read at each call.
-
-    One unless BLAS is held to one thread (``OPENBLAS_NUM_THREADS``, or
-    failing that ``OMP_NUM_THREADS``, is 1): a multithreaded BLAS already
-    spreads each SVD over the cores, and small SVDs from two workers then
-    queue inside it. Otherwise the CPUs the process may run on, at most
-    ``_MAX_WORKERS``.
-    """
-    env = os.environ
-    if env.get("OPENBLAS_NUM_THREADS", env.get("OMP_NUM_THREADS", "")).strip() != "1":
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        cpus = os.cpu_count() or 1
-    return min(cpus, _MAX_WORKERS)
-
-
-def _map_in_order(work, jobs, write, workers: int) -> None:
-    """``write(work(job))`` for every job, the writes in job order.
-
-    The calling thread hands jobs to ``workers - 1`` helper threads until
-    ``_QUEUED`` per helper are queued or running, and runs the next job
-    itself otherwise; after each job it writes every finished job at the
-    head of the line. At most ``_QUEUED * workers`` jobs are started but not
-    written. The first error in job order is raised, the one a serial loop
-    would raise, once the helpers have stopped.
-    """
-    pending: deque[Future] = deque()
-    with ThreadPoolExecutor(max(1, workers - 1)) as helpers:
-        try:
-            for job in jobs:
-                if sum(not f.done() for f in pending) < _QUEUED * (workers - 1):
-                    pending.append(helpers.submit(work, job))
-                else:
-                    pending.append(_run_here(work, job))
-                while pending and (pending[0].done() or len(pending) > _QUEUED * workers):
-                    write(pending.popleft().result())
-            while pending:
-                write(pending.popleft().result())
-        finally:
-            for future in pending:
-                future.cancel()
-
-
-def _run_here(work, job) -> Future:
-    """A finished future holding ``work(job)``, run in the calling thread."""
-    future: Future = Future()
-    try:
-        future.set_result(work(job))
-    except Exception as exc:
-        future.set_exception(exc)
-    return future
 
 
 def _blocks(counts: np.ndarray, max_rows: int):

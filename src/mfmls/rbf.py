@@ -8,20 +8,24 @@ whose half-integer Bessel index makes it available in closed form as an
 exponential times a polynomial — no special-function dependency is needed.
 Restricting phi to a surface gives a positive-definite kernel there, and the
 power function of a site set measures the worst-case interpolation error
-pointwise.
+pointwise. Its probe blocks are independent, and their triangular solves go
+to LAPACK through a call that releases the GIL, so they run on the workers
+of ``_workers`` (two cores when BLAS is held to one thread).
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, cython_lapack
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
+from . import _workers
 from .errors import (
     DuplicateSites,
     FactorizationFailed,
@@ -40,6 +44,60 @@ _JITTER_LADDER = (0.0, 1e-12, 1e-10)
 #: Kernel entries (2 MB of floats) per row block when the Gram matrix is built
 #: or probes are evaluated, so working memory does not grow with the rows.
 _KERNEL_BLOCK = 2**18
+#: Kernel entries per part of a probe block whose distances and kernel values
+#: are evaluated at once, so that a worker holds little beyond its block.
+_KERNEL_PART = 2**14
+
+
+def _lapack_function(name: str, *argtypes):
+    """LAPACK routine ``name`` from scipy's ``cython_lapack`` table as a
+    ``ctypes`` function; calling it releases the GIL."""
+    capsule = cython_lapack.__pyx_capi__[name]
+    api = ctypes.pythonapi
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", api))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api))
+    return ctypes.CFUNCTYPE(None, *argtypes)(get_pointer(capsule, get_name(capsule)))
+
+
+_INT = ctypes.POINTER(ctypes.c_int)
+#: dtrtrs(uplo, trans, diag, n, nrhs, a, lda, b, ldb, info)
+_dtrtrs = _lapack_function("dtrtrs", *[ctypes.c_char_p] * 3, _INT, _INT,
+                           ctypes.c_void_p, _INT, ctypes.c_void_p, _INT, _INT)
+
+
+def _solve_lower(L: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Overwrite ``B`` with ``L^{-1} B`` and return it.
+
+    LAPACK's ``dtrtrs`` on the lower triangle of ``L``: the routine that
+    ``solve_triangular(L, B, lower=True)`` calls for a Fortran-ordered
+    ``L``, so the result is the same bit for bit, but reached through
+    ``ctypes`` the call releases the GIL. Both arrays must be
+    Fortran-ordered float64, ``B`` writable.
+
+    Raises
+    ------
+    LinAlgError
+        If ``L`` has a zero on its diagonal (or LAPACK rejects an argument).
+    """
+    n, nrhs = B.shape
+    if (L.shape != (n, n) or not B.flags.writeable
+            or any(a.dtype != np.float64 or not a.flags.f_contiguous for a in (L, B))):
+        raise ValueError(
+            f"need a Fortran-ordered float64 ({n}, {n}) factor and writable "
+            f"right-hand sides, got {L.shape} {L.dtype} and {B.shape} {B.dtype}"
+        )
+    ld = ctypes.c_int(max(1, n))
+    info = ctypes.c_int()
+    _dtrtrs(b"L", b"N", b"N", ctypes.byref(ctypes.c_int(n)),
+            ctypes.byref(ctypes.c_int(nrhs)), L.ctypes.data, ctypes.byref(ld),
+            B.ctypes.data, ctypes.byref(ld), ctypes.byref(info))
+    if info.value > 0:
+        raise LinAlgError(f"singular matrix: resolution failed at diagonal {info.value - 1}")
+    if info.value < 0:
+        raise LinAlgError(f"illegal value in argument {-info.value} of dtrtrs")
+    return B
 
 
 @dataclass(frozen=True)
@@ -209,21 +267,35 @@ class InterpSystem:
         with L the lower Cholesky factor of ``gram + jitter * I`` and k_x the
         kernel vector of x against the sites, so each point costs one
         triangular solve. The max(0, .) clamps round-off just below zero at
-        (and near) the sites. Rows are evaluated in blocks of about
-        ``_KERNEL_BLOCK`` kernel entries, so the memory beyond the output is
-        bounded by the block, not by the number of rows.
+        (and near) the sites. Rows are solved in blocks of about
+        ``_KERNEL_BLOCK`` kernel entries, whose kernel values are evaluated
+        in parts of about ``_KERNEL_PART`` entries, so the memory beyond the
+        output is about one block per worker, not growing with the number
+        of rows. The blocks run on the workers of ``_workers.worker_count``
+        (at most two, and one unless BLAS is held to one thread), each
+        writing its own rows of the output. A row can change in the last
+        digits with the size of its block, so the blocks are the same for
+        every W, and so is the result.
         """
         evals = np.asarray(eval_points, dtype=float)
         if evals.ndim == 1:
             evals = evals[None, :]
         phi0 = _phi_zero(self.spec)
-        rows = max(1, _KERNEL_BLOCK // len(self.sites))
+        n = len(self.sites)
+        rows = max(1, _KERNEL_BLOCK // n)
+        part = max(1, _KERNEL_PART // n)
         out = np.empty(len(evals))
-        for start in range(0, len(evals), rows):
-            kx = matern_eval(self.spec, cdist(evals[start:start + rows], self.sites))
-            v = solve_triangular(self.factor, kx.T, lower=True, overwrite_b=True,
-                                 check_finite=False)
+
+        def block(start):
+            chunk = evals[start:start + rows]
+            kx = np.empty((len(chunk), n))
+            for lo in range(0, len(chunk), part):
+                kx[lo:lo + part] = matern_eval(self.spec, cdist(chunk[lo:lo + part], self.sites))
+            v = _solve_lower(self.factor, kx.T)
             out[start:start + rows] = phi0 - np.einsum("ij,ij->j", v, v)
+
+        _workers.map_in_order(block, range(0, len(evals), rows), lambda _: None,
+                              _workers.worker_count())
         return np.sqrt(np.maximum(0.0, out, out=out), out=out)
 
 

@@ -1,18 +1,22 @@
 """The blocked one-solve power function and the in-place Gram build of
-``InterpSystem`` against the whole-array routines they replaced, kept here as
-oracles."""
+``InterpSystem`` against the whole-array routines they replaced, and the
+power function on workers against the serial block loop it replaced, kept
+here as oracles."""
 
 import math
+import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
 from scipy.spatial.distance import cdist
 
 import mfmls.rbf as rbf
+from mfmls import _workers
 from mfmls.errors import DuplicateSites, FactorizationFailed
 from mfmls.geometry.presets import cyclide
 from mfmls.geometry.sampling import sample_quasi_uniform
@@ -60,6 +64,22 @@ def reference_power_values(spec, sites, factor, eval_points):
     sol = cho_solve(factor, kx.T)
     quad = np.einsum("ij,ji->i", kx, sol)
     return np.sqrt(np.maximum(0.0, float(reference_matern(spec, 0.0)) - quad))
+
+
+def serial_power_values(system, eval_points):
+    """The serial block loop, one ``solve_triangular`` per block."""
+    evals = np.asarray(eval_points, dtype=float)
+    if evals.ndim == 1:
+        evals = evals[None, :]
+    phi0 = rbf._phi_zero(system.spec)
+    rows = block_rows(len(system.sites))
+    out = np.empty(len(evals))
+    for start in range(0, len(evals), rows):
+        kx = rbf.matern_eval(system.spec, cdist(evals[start:start + rows], system.sites))
+        v = solve_triangular(system.factor, kx.T, lower=True, overwrite_b=True,
+                             check_finite=False)
+        out[start:start + rows] = phi0 - np.einsum("ij,ij->j", v, v)
+    return np.sqrt(np.maximum(0.0, out, out=out), out=out)
 
 
 def block_rows(n_sites):
@@ -202,16 +222,89 @@ def test_power_values_memory_does_not_grow_with_rows():
     pts = lattice_sites(300, 7)
     system = InterpSystem(spec, pts)
     block_bytes = block_rows(len(pts)) * len(pts) * 8
-    peaks = []
-    for count in (4_000, 40_000):
-        probes = probe_points(pts, count, 7)
-        tracemalloc.start()
-        try:
-            out = system.power_values(probes)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # A whole-array kernel block alone would be count * 300 floats (96 MB).
-        assert peak <= out.nbytes + 4 * block_bytes
-        peaks.append(peak - out.nbytes)
-    assert peaks[1] <= peaks[0] + block_bytes // 4
+    for workers in (1, 2):
+        peaks = []
+        for count in (4_000, 40_000):
+            probes = probe_points(pts, count, 7)
+            tracemalloc.start()
+            try:
+                with mock.patch.object(_workers, "worker_count", lambda: workers):
+                    out = system.power_values(probes)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            # A whole-array kernel block alone would be count * 300 floats (96 MB).
+            assert peak <= out.nbytes + 4 * block_bytes
+            peaks.append(peak - out.nbytes)
+        assert peaks[1] <= peaks[0] + block_bytes // 4
+
+
+@given(
+    order=st.sampled_from(ORDERS),
+    n=st.sampled_from(SITE_COUNTS),
+    seed=st.integers(0, 10_000),
+    b=st.sampled_from((1, 2, 9)),
+    count=st.sampled_from(("0", "1", "B+1", "7B+3")),
+    workers=st.sampled_from((1, 2, 3)),
+)
+@settings(max_examples=60, deadline=None)
+def test_power_values_on_workers_match_serial_block_loop(order, n, seed, b, count, workers):
+    # Blocks of b rows. One row takes another LAPACK path than two and can
+    # differ in the last digits, so a block size split among the workers
+    # would show at b = 2.
+    system = InterpSystem(KernelSpec(order), lattice_sites(n, seed))
+    rows = {"0": 0, "1": 1, "B+1": b + 1, "7B+3": 7 * b + 3}[count]
+    probes = probe_points(system.sites, rows, seed)
+    with mock.patch.object(rbf, "_KERNEL_BLOCK", b * n), \
+            mock.patch.object(_workers, "worker_count", lambda: workers):
+        want = serial_power_values(system, probes)
+        got = system.power_values(probes)
+    assert np.array_equal(got, want)
+
+
+def test_solve_lower_rejects_a_zero_on_the_diagonal():
+    rng = np.random.default_rng(0)
+    L = np.asfortranarray(np.tril(rng.uniform(1.0, 2.0, size=(5, 5))))
+    B = np.asfortranarray(rng.uniform(size=(5, 3)))
+    assert np.array_equal(rbf._solve_lower(L, B.copy(order="F")),
+                          solve_triangular(L, B, lower=True))
+    L[2, 2] = 0.0
+    with pytest.raises(LinAlgError, match="diagonal 2"):
+        solve_triangular(L, B, lower=True)
+    with pytest.raises(LinAlgError, match="diagonal 2"):
+        rbf._solve_lower(L, B)
+    with pytest.raises(ValueError):
+        rbf._solve_lower(np.ascontiguousarray(L), B)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_power_block_error_is_raised_in_block_order(workers):
+    # One probe per block. The third block raises, after waiting (up to a
+    # second) for a later block to raise another error first; with three
+    # workers one does, in the second helper. The call raises the third
+    # block's error, as the serial loop would, and leaves no thread behind.
+    pts = lattice_sites(64, 5)
+    probes = probe_points(pts, 12, 5)
+    system = InterpSystem(KernelSpec(4), pts)
+    first = LinAlgError("block 2")
+    later_raised = threading.Event()
+    real = rbf.cdist
+
+    def failing_cdist(xa, xb):
+        i = int(np.flatnonzero((probes == xa[0]).all(axis=1))[0])
+        if i == 2:
+            later_raised.wait(timeout=1)
+            raise first
+        if i > 2:
+            later_raised.set()
+            raise LinAlgError(f"block {i}")
+        return real(xa, xb)
+
+    threads = threading.active_count()
+    with mock.patch.object(rbf, "_KERNEL_BLOCK", 1), \
+            mock.patch.object(_workers, "worker_count", lambda: workers), \
+            mock.patch.object(rbf, "cdist", failing_cdist):
+        with pytest.raises(LinAlgError) as raised:
+            system.power_values(probes)
+    assert raised.value is first
+    assert threading.active_count() == threads

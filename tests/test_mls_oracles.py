@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 import mfmls.mls as mls
+from mfmls import _workers
 from mfmls.errors import AllWeightsZero, DegenerateFit, EmptyStencil, TooFewPoints
 from mfmls.geometry.cloud import PointCloud
 from mfmls.geometry.presets import cyclide
@@ -169,7 +170,7 @@ def assembly_case(draw):
 def test_block_walk_matches_per_point_loop(case):
     cloud, evals, config, block, workers = case
     with mock.patch.object(mls, "_FIT_BLOCK", block), \
-            mock.patch.object(mls, "_worker_count", lambda: workers):
+            mock.patch.object(_workers, "worker_count", lambda: workers):
         try:
             want = reference_shape_function_matrix(cloud, evals, config)
         except TooFewPoints:
@@ -215,7 +216,7 @@ def test_block_error_is_raised_in_block_order(workers):
 
     threads = threading.active_count()
     with mock.patch.object(mls, "_FIT_BLOCK", 1), \
-            mock.patch.object(mls, "_worker_count", lambda: workers), \
+            mock.patch.object(_workers, "worker_count", lambda: workers), \
             mock.patch.object(mls, "_fit_many", failing_fit_many):
         with pytest.raises(np.linalg.LinAlgError) as raised:
             shape_function_matrix(cloud, evals, MlsConfig(degree=2, delta=0.8))
@@ -232,7 +233,7 @@ def test_block_plan_error_stops_the_helpers():
 
     cloud, evals = cyclide_cloud()
     threads = threading.active_count()
-    with mock.patch.object(mls, "_worker_count", lambda: 3), \
+    with mock.patch.object(_workers, "worker_count", lambda: 3), \
             mock.patch.object(mls, "_blocks", failing_blocks):
         with pytest.raises(MemoryError, match="block plan"):
             shape_function_matrix(cloud, evals, MlsConfig(degree=2, delta=0.8))
@@ -252,9 +253,9 @@ def test_worker_count(monkeypatch, openblas, omp, cpus, want):
             monkeypatch.delenv(name, raising=False)
         else:
             monkeypatch.setenv(name, value)
-    monkeypatch.setattr(mls.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+    monkeypatch.setattr(_workers.os, "sched_getaffinity", lambda pid: set(range(cpus)),
                         raising=False)
-    assert mls._worker_count() == want
+    assert _workers.worker_count() == want
 
 
 def test_more_workers_than_cores_write_every_block():
@@ -270,7 +271,7 @@ def test_more_workers_than_cores_write_every_block():
     sys.setswitchinterval(1e-6)
     try:
         with mock.patch.object(mls, "_FIT_BLOCK", block), \
-                mock.patch.object(mls, "_worker_count", lambda: 6):
+                mock.patch.object(_workers, "worker_count", lambda: 6):
             caller = threading.Thread(
                 target=lambda: got.append(shape_function_matrix(cloud, evals, config)))
             caller.start()
