@@ -1,14 +1,17 @@
-"""The one worker policy for independent numerical blocks.
+"""The one in-order runner for independent jobs, and its worker policy.
 
-MLS assembly (``mls.shape_function_matrix``) and power-function evaluation
-(``rbf.InterpSystem.power_values``) both walk independent blocks whose heavy
-steps run in native code that releases the GIL. Both take their worker count
-from :func:`worker_count` and run their blocks through :func:`map_in_order`,
-so the two share one rule for when a second core is used.
+Three callers run independent jobs through :func:`map_in_order`: MLS
+assembly (``mls.shape_function_matrix``) and power-function evaluation
+(``rbf.InterpSystem.power_values``) walk blocks whose heavy steps run in
+native code that releases the GIL, and take their worker count from
+:func:`worker_count`, so the two share one rule for when a second core is
+used; the CLI table commands run their cells with ``--threads`` workers.
+Every job runs in the caller's ``contextvars`` context.
 """
 
 from __future__ import annotations
 
+import contextvars
 import os
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -48,15 +51,18 @@ def map_in_order(work, jobs, write, workers: int) -> None:
     ``_QUEUED`` per helper are queued or running, and runs the next job
     itself otherwise; after each job it writes every finished job at the
     head of the line. At most ``_QUEUED * workers`` jobs are started but not
-    written. The first error in job order is raised, the one a serial loop
-    would raise, once the helpers have stopped.
+    written. Helper jobs run in a copy of the caller's ``contextvars``
+    context, so every job sees the caller's context variables. The first
+    error in job order is raised, the one a serial loop would raise, once the
+    helpers have stopped.
     """
     pending: deque[Future] = deque()
     with ThreadPoolExecutor(max(1, workers - 1)) as helpers:
         try:
             for job in jobs:
                 if sum(not f.done() for f in pending) < _QUEUED * (workers - 1):
-                    pending.append(helpers.submit(work, job))
+                    context = contextvars.copy_context()
+                    pending.append(helpers.submit(context.run, work, job))
                 else:
                     pending.append(_run_here(work, job))
                 while pending and (pending[0].done() or len(pending) > _QUEUED * workers):

@@ -136,7 +136,7 @@ class SurfaceHandle:
         return sample_mesh(self.mesh, n, seed)
 
 
-def _parse_surface(spec, where: str = "surface") -> tuple[SurfaceHandle, dict]:
+def _parse_surface(spec, where: str = "surface") -> SurfaceHandle:
     if not isinstance(spec, dict):
         raise ConfigError(f"{where} must be an object")
     if "preset" in spec and "coefficients" in spec:
@@ -154,7 +154,7 @@ def _parse_surface(spec, where: str = "surface") -> tuple[SurfaceHandle, dict]:
                 surface = make(**kwargs)
             except ValueError as exc:
                 raise ConfigError(f"{where}: {exc}") from None
-            return SurfaceHandle(surface, None), dict(spec)
+            return SurfaceHandle(surface, None)
         if name == "mesh":
             _check_keys(spec, {"preset", "path"}, {"preset", "path"}, where)
             path = spec["path"]
@@ -166,7 +166,7 @@ def _parse_surface(spec, where: str = "surface") -> tuple[SurfaceHandle, dict]:
                 raise ConfigError(f"cannot read mesh file {path!r}: {exc}") from exc
             except (MeshFormatError, EmptyMesh) as exc:
                 raise ConfigError(f"bad mesh file {path!r}: {exc}") from exc
-            return SurfaceHandle(None, mesh), dict(spec)
+            return SurfaceHandle(None, mesh)
         raise ConfigError(
             f"unknown surface preset {name!r}; "
             "expected sphere, torus, cyclide, or mesh"
@@ -201,7 +201,7 @@ def _parse_surface(spec, where: str = "surface") -> tuple[SurfaceHandle, dict]:
         if not np.all(bbox[0] < bbox[1]):
             raise ConfigError(f"{where}.bbox lower corner must be below upper corner")
         surface = AlgebraicSurface.from_coefficients(dim, parsed, bbox)
-        return SurfaceHandle(surface, None), dict(spec)
+        return SurfaceHandle(surface, None)
     raise ConfigError(f"{where} needs either a 'preset' or raw 'coefficients'")
 
 
@@ -246,7 +246,6 @@ class ExperimentConfig:
     """Validated experiment description shared by every CLI command."""
 
     surface: SurfaceHandle
-    surface_spec: dict
     degrees: tuple[int, ...]
     cardinalities: tuple[int, ...]
     seed: int
@@ -284,14 +283,14 @@ def parse_config(data) -> ExperimentConfig:
         raise ConfigError(
             f"unsupported config version {version}; expected {CONFIG_VERSION}"
         )
-    handle, surface_spec = _parse_surface(data["surface"])
+    handle = _parse_surface(data["surface"])
     degrees = _int_list(data["degrees"], "degrees", minimum=0)
     cardinalities = _int_list(data["cardinalities"], "cardinalities", minimum=1)
     seed = _as_int(data["seed"], "seed")
 
     restriction = None
     if data.get("restriction") is not None:
-        restriction = _parse_restriction(data["restriction"], handle, surface_spec)
+        restriction = _parse_restriction(data["restriction"], handle, data["surface"])
 
     target_name = data.get("target")
     if target_name is not None:
@@ -339,7 +338,6 @@ def parse_config(data) -> ExperimentConfig:
 
     return ExperimentConfig(
         surface=handle,
-        surface_spec=surface_spec,
         degrees=degrees,
         cardinalities=cardinalities,
         seed=seed,

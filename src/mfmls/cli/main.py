@@ -5,17 +5,16 @@ Usage::
     mfmls <sample|convergence|lebesgue|noise|power|info>
           --config <path> [--seed S] [--out DIR] [--threads T]
 
-``--threads`` falls back to the ``MFMLS_THREADS`` environment variable, then
-to 1. Exit codes: 0 on full success, 1 when any cell failed (a machine-
-readable manifest lands next to the outputs), 2 for configuration errors
-and for an output directory that cannot be created or written.
+``--threads`` (default 1) is the number of workers that run the table
+commands' cells. Exit codes: 0 on full success, 1 when any cell failed (a
+machine-readable manifest lands next to the outputs), 2 for configuration
+errors and for an output directory that cannot be created or written.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 
 from ..errors import ConfigError, MfmlsError
@@ -23,23 +22,13 @@ from .config import load_config
 from .runner import COMMANDS
 
 
-def resolve_threads(flag_value: int | None, env: dict | None = None) -> int:
-    """--threads beats MFMLS_THREADS beats the serial default."""
-    if flag_value is not None:
-        if flag_value < 1:
-            raise ConfigError(f"--threads must be >= 1, got {flag_value}")
-        return flag_value
-    env = os.environ if env is None else env
-    raw = env.get("MFMLS_THREADS")
-    if raw is None:
+def resolve_threads(flag_value: int | None) -> int:
+    """--threads, or the serial default."""
+    if flag_value is None:
         return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"MFMLS_THREADS must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ConfigError(f"MFMLS_THREADS must be >= 1, got {value}")
-    return value
+    if flag_value < 1:
+        raise ConfigError(f"--threads must be >= 1, got {flag_value}")
+    return flag_value
 
 
 def build_parser() -> argparse.ArgumentParser:

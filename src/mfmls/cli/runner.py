@@ -6,11 +6,12 @@ Seed policy (all derived from the config seed, no wall clock anywhere):
 * the shared evaluation cloud uses ``seed + 999983``;
 * noise trials stream from the config seed itself (per-trial substreams).
 
-Cells — one per (m, N) pair, or (m, N, sigma) for the noise study — run in a
-thread pool and are collected in submission order, so output files are
-byte-identical no matter how many workers ran them. Wall times go to a
-separate ``timings.csv`` precisely so the data files stay byte-comparable
-across machines and runs.
+Cells — one per (m, N) pair, or (m, N, sigma) for the noise study — run on
+``--threads`` workers through ``_workers.map_in_order``, the runner MLS
+assembly and power evaluation share, and are collected in label order, so
+output files are byte-identical no matter how many workers ran them. Wall
+times go to a separate ``timings.csv`` precisely so the data files stay
+byte-comparable across machines and runs.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from .._workers import map_in_order
 from ..errors import ConfigError, MfmlsError
 from ..geometry.cloud import PointCloud, save_csv
 from ..mls import MlsConfig, mls_evaluate, noise_study, shape_function_matrix
@@ -66,31 +67,6 @@ def _field_csv(path, points: np.ndarray, values: np.ndarray) -> None:
 _CELL_ERRORS = (MfmlsError, np.linalg.LinAlgError)
 
 
-def _run_cells(labels, fn, threads: int):
-    """Run fn(label) for each label; return (result | exception) per label.
-
-    Results come back in submission order regardless of worker count, which
-    is what keeps multi-threaded runs byte-identical to serial ones.
-    """
-    if threads <= 1:
-        out = []
-        for label in labels:
-            try:
-                out.append(fn(label))
-            except _CELL_ERRORS as exc:
-                out.append(exc)
-        return out
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(fn, label) for label in labels]
-        out = []
-        for fut in futures:
-            try:
-                out.append(fut.result())
-            except _CELL_ERRORS as exc:
-                out.append(exc)
-        return out
-
-
 def _sample_clouds(cfg: ExperimentConfig) -> dict[int, PointCloud]:
     clouds = {}
     for i, n in enumerate(cfg.cardinalities):
@@ -98,10 +74,8 @@ def _sample_clouds(cfg: ExperimentConfig) -> dict[int, PointCloud]:
     return clouds
 
 
-def _sample_evals(cfg: ExperimentConfig) -> PointCloud:
-    return cfg.surface.sample(
-        cfg.default_eval_count(), cfg.seed + _EVAL_SEED_OFFSET, within=cfg.restriction
-    )
+def _sample_evals(cfg: ExperimentConfig, count: int) -> PointCloud:
+    return cfg.surface.sample(count, cfg.seed + _EVAL_SEED_OFFSET, within=cfg.restriction)
 
 
 def _rank_summary(diag) -> str:
@@ -117,31 +91,33 @@ def _cell_id(label) -> str:
     return cell_id if len(label) == 2 else f"{cell_id}_s{label[2]:g}"
 
 
-def _lebesgue_constant(diag) -> float:
-    ok = ~diag.failed
-    return float(diag.lebesgue[ok].max()) if ok.any() else float("nan")
-
-
 def _run_table(cfg, out_dir, threads, labels, cell_fn, table, header):
     """Sample the clouds, run one cell per label and write the cell table.
 
     ``cell_fn(label, clouds, evals)`` returns ``(values, n_failed)``; a row
-    is the cell id, the label and the values. A cell that raises, or that has
-    failed evaluation points, lands in ``errors.json``; wall times go to
-    ``timings.csv``. Returns the rows, the manifest and, keyed by ``header``,
-    the rows of the cells without a failed point.
+    is the cell id, the label and the values. Cells run on ``threads``
+    workers and are written in label order. A cell that raises one of
+    ``_CELL_ERRORS``, or that has failed evaluation points, lands in
+    ``errors.json``; wall times go to ``timings.csv``. Returns the rows, the
+    manifest and, keyed by ``header``, the rows of the cells without a
+    failed point.
     """
     os.makedirs(out_dir, exist_ok=True)
     clouds = _sample_clouds(cfg)
-    evals = _sample_evals(cfg)
+    evals = _sample_evals(cfg, cfg.default_eval_count())
 
     def timed_cell(label):
         started = time.perf_counter()
-        values, n_failed = cell_fn(label, clouds, evals)
+        try:
+            values, n_failed = cell_fn(label, clouds, evals)
+        except _CELL_ERRORS as exc:
+            return exc
         return values, n_failed, time.perf_counter() - started
 
+    results = []
+    map_in_order(timed_cell, labels, results.append, threads)
     rows, timing_rows, manifest, clean = [], [], [], []
-    for label, res in zip(labels, _run_cells(labels, timed_cell, threads)):
+    for label, res in zip(labels, results):
         cell_id = _cell_id(label)
         if isinstance(res, Exception):
             manifest.append(
@@ -236,7 +212,7 @@ def cmd_convergence(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
             cloud.separation,
             float(err.max()) if ok.any() else float("nan"),
             float(np.sqrt(np.mean(err**2))) if ok.any() else float("nan"),
-            _lebesgue_constant(diag),
+            diag.summary()["max_lebesgue"],
             _rank_summary(diag),
         ]
         return values, int(diag.failed.sum())
@@ -264,7 +240,7 @@ def cmd_lebesgue(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
             evals.points,
             diag.lebesgue,
         )
-        values = [float(diag.base_delta), _lebesgue_constant(diag), len(evals)]
+        values = [float(diag.base_delta), diag.summary()["max_lebesgue"], len(evals)]
         return values, int(diag.failed.sum())
 
     header = ["cell", "m", "N", "delta", "lebesgue_const", "n_eval"]
@@ -357,10 +333,7 @@ def cmd_info(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
     os.makedirs(out_dir, exist_ok=True)
     n = min(cfg.cardinalities)
     cloud = cfg.surface.sample(n, cfg.seed, within=cfg.restriction)
-    n_eval = cfg.eval_count if cfg.eval_count is not None else 512
-    evals = cfg.surface.sample(
-        n_eval, cfg.seed + _EVAL_SEED_OFFSET, within=cfg.restriction
-    )
+    evals = _sample_evals(cfg, cfg.eval_count if cfg.eval_count is not None else 512)
 
     per_degree = []
     for m in cfg.degrees:

@@ -24,10 +24,6 @@ class SamplingFailed(MfmlsError):
     """Surface sampler could not produce a cloud meeting its guarantees."""
 
 
-class QueryTooLarge(MfmlsError):
-    """A k-nearest-neighbor query asked for more points than the cloud has."""
-
-
 class SinglePointCloud(MfmlsError):
     """Separation distance is undefined for a cloud with fewer than 2 points."""
 

@@ -1,11 +1,8 @@
 """Point clouds with deterministic spatial queries.
 
-All queries are Euclidean. Two semantics matter enough to be contractual:
-
-* k-nearest-neighbor ties are broken toward the smaller point index, so
-  results do not depend on tree construction order;
-* ball queries use strict inequality |p - x| < r, which is what makes
-  compactly supported weights vanish identically on excluded points.
+All queries are Euclidean. Ball queries use strict inequality |p - x| < r,
+which is what makes compactly supported weights vanish identically on
+excluded points; that is contractual.
 """
 
 from __future__ import annotations
@@ -15,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from ..errors import QueryTooLarge, SinglePointCloud
+from ..errors import SinglePointCloud
 
 
 class PointCloud:
@@ -53,25 +50,6 @@ class PointCloud:
         if self._tree is None:
             self._tree = cKDTree(self.points)
         return self._tree
-
-    def knn(self, x, k: int):
-        """Indices and distances of the k nearest points, ties by index.
-
-        Returns (indices, distances), both length k, sorted by
-        (distance, index) ascending.
-        """
-        x = np.asarray(x, dtype=float).reshape(-1)
-        if k < 1 or k > len(self):
-            raise QueryTooLarge(f"k={k} outside [1, {len(self)}]")
-        d, _ = self.tree.query(x, k=k)
-        dk = float(np.atleast_1d(d)[-1])
-        # Re-collect within an inflated radius and sort ourselves: cKDTree's
-        # own tie ordering is unspecified.
-        cand = self.tree.query_ball_point(x, dk * (1 + 1e-9) + 1e-300)
-        cand = np.asarray(cand, dtype=np.int64)
-        dist = np.linalg.norm(self.points[cand] - x, axis=1)
-        order = np.lexsort((cand, dist))[:k]
-        return cand[order], dist[order]
 
     def ball(self, x, radius: float) -> np.ndarray:
         """Indices (ascending) of points with |p - x| strictly less than radius."""

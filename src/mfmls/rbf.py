@@ -321,9 +321,7 @@ def power_function(spec: KernelSpec, sites, x) -> float:
     An empty site set (or ``None``) carries no information, so the value is
     sqrt(phi(0)).
     """
-    if sites is None or len(_as_site_array(sites)) == 0:
-        return math.sqrt(_phi_zero(spec))
-    return float(InterpSystem(spec, sites).power_values(x)[0])
+    return float(power_field(spec, sites, np.atleast_2d(x))[0])
 
 
 def power_field(spec: KernelSpec, sites, eval_points) -> np.ndarray:

@@ -6,9 +6,11 @@ where determinism is the contract.
 
 from __future__ import annotations
 
+import contextvars
 import json
 import math
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -183,15 +185,10 @@ def test_target_registry_has_documented_names():
 # --- thread resolution ---------------------------------------------------------
 
 def test_resolve_threads_precedence():
-    assert resolve_threads(None, {}) == 1
-    assert resolve_threads(None, {"MFMLS_THREADS": "4"}) == 4
-    assert resolve_threads(3, {"MFMLS_THREADS": "4"}) == 3
+    assert resolve_threads(None) == 1
+    assert resolve_threads(3) == 3
     with pytest.raises(ConfigError):
-        resolve_threads(0, {})
-    with pytest.raises(ConfigError):
-        resolve_threads(None, {"MFMLS_THREADS": "many"})
-    with pytest.raises(ConfigError):
-        resolve_threads(None, {"MFMLS_THREADS": "-2"})
+        resolve_threads(0)
 
 
 # --- sample ---------------------------------------------------------------------
@@ -655,3 +652,26 @@ def test_cell_linalg_error_lands_in_manifest(tmp_path, monkeypatch, command, thr
     if command == "lebesgue":
         fields = {name for name in os.listdir(out) if name.startswith("lebesgue_field_")}
         assert fields == {f"lebesgue_field_{cell}.csv" for cell in kept}
+
+
+def test_cells_run_in_the_callers_context(tmp_path, monkeypatch):
+    import mfmls.cli.runner as runner
+
+    marker = contextvars.ContextVar("marker", default=None)
+    real = runner.mls_evaluate
+    seen = []
+
+    def recording_cell(*args, **kwargs):
+        seen.append((marker.get(), threading.get_ident()))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "mls_evaluate", recording_cell)
+    cfg_path = write_config(tmp_path)
+    token = marker.set("caller")
+    try:
+        assert main(["convergence", "--config", cfg_path, "--out", str(tmp_path / "out"),
+                     "--threads", "2"]) == 0
+    finally:
+        marker.reset(token)
+    assert [value for value, _ in seen] == ["caller"] * 6
+    assert any(ident != threading.get_ident() for _, ident in seen)

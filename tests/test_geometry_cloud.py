@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mfmls.errors import QueryTooLarge, SinglePointCloud
+from mfmls.errors import SinglePointCloud
 from mfmls.geometry.cloud import (
     BallRestriction,
     PointCloud,
@@ -19,7 +19,7 @@ def random_cloud():
 
 
 # ---------------------------------------------------------------------------
-# k nearest neighbors
+# construction
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -29,38 +29,6 @@ def test_non_finite_point_rejected(bad):
     pts[1, 2] = bad
     with pytest.raises(ValueError, match="point 1 is not finite"):
         PointCloud(pts)
-
-
-def test_knn_breaks_ties_by_index():
-    pts = np.array([
-        [1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0], [0, -1.0, 0],
-    ])
-    cloud = PointCloud(pts)
-    idx, dist = cloud.knn(np.zeros(3), 2)
-    assert list(idx) == [0, 1]
-    np.testing.assert_array_equal(dist, [1.0, 1.0])
-
-
-def test_knn_matches_brute_force(random_cloud):
-    rng = np.random.default_rng(1)
-    for _ in range(25):
-        x = rng.uniform(-1.2, 1.2, size=3)
-        k = int(rng.integers(1, 20))
-        idx, dist = random_cloud.knn(x, k)
-        d_all = np.linalg.norm(random_cloud.points - x, axis=1)
-        order = np.lexsort((np.arange(len(d_all)), d_all))[:k]
-        np.testing.assert_array_equal(idx, order)
-        np.testing.assert_allclose(dist, d_all[order], rtol=1e-14)
-
-
-def test_knn_rejects_oversized_k(random_cloud):
-    with pytest.raises(QueryTooLarge):
-        random_cloud.knn(np.zeros(3), 81)
-
-
-def test_knn_distances_sorted(random_cloud):
-    _, dist = random_cloud.knn(np.array([0.3, -0.2, 0.9]), 15)
-    assert np.all(np.diff(dist) >= 0)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 replaced (``build_stencil`` + ``local_fit`` + radius escalation), kept here as
 the oracle, and the memory bound of the walk."""
 
+import contextvars
 import functools
 import sys
 import threading
@@ -256,6 +257,23 @@ def test_worker_count(monkeypatch, openblas, omp, cpus, want):
     monkeypatch.setattr(_workers.os, "sched_getaffinity", lambda pid: set(range(cpus)),
                         raising=False)
     assert _workers.worker_count() == want
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_map_in_order_jobs_see_the_callers_context(workers):
+    marker = contextvars.ContextVar("marker", default=None)
+    got = []
+    token = marker.set("caller")
+    try:
+        _workers.map_in_order(lambda job: (job, marker.get(), threading.get_ident()),
+                              range(12), got.append, workers)
+    finally:
+        marker.reset(token)
+    assert [job for job, _, _ in got] == list(range(12))
+    assert [value for _, value, _ in got] == ["caller"] * 12
+    # The first job always goes to a helper when there is one.
+    helpers = {ident for _, _, ident in got} - {threading.get_ident()}
+    assert bool(helpers) == (workers > 1)
 
 
 def test_more_workers_than_cores_write_every_block():
