@@ -1,12 +1,14 @@
-"""SHA-256 digests of every ``mfmls`` command's outputs on three small configs.
+"""SHA-256 digests of every ``mfmls`` command's outputs on four small configs.
 
 Usage (from the root of a source checkout)::
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/cli_digest.py > digests.txt
 
 Runs ``sample``, ``convergence``, ``lebesgue``, ``noise``, ``power`` and
-``info`` on a sphere config, a cyclide-patch config and a config on an
-octahedron OBJ mesh (written next to the configs), each at ``--threads 1``
+``info`` on a sphere config, a torus config (about half of every draw
+chunk lies in the torus's shell, the most gradient work of any preset), a
+cyclide-patch config and a config on an octahedron OBJ mesh (written next
+to the configs), each at ``--threads 1``
 and ``2``, inside a temporary directory. Prints one
 ``sha256  config/command/tN/file`` line per output file and one for the
 command's stdout, plus a ``code  config/command/tN/exit`` line with its exit
@@ -17,9 +19,9 @@ parent commit and at the change.
 A second pass runs everything again with the process pinned to one CPU (the
 lowest one it may use; the affinity mask is restored afterwards) and prints
 its lines as ``c1/config/command/tN/file``. With BLAS held to one thread,
-as above, MLS assembly and the ``power`` probe blocks run on two CPUs in the
-first pass and on one in the second, and the outputs must not depend on
-that number::
+as above, the sampler's draw chunks, MLS assembly and the ``power`` probe
+blocks run on two CPUs in the first pass and on one in the second, and the
+outputs must not depend on that number::
 
     grep '  c1/' digests.txt | sed 's#  c1/#  #' | diff - <(grep -v '  c1/' digests.txt)
 
@@ -68,6 +70,18 @@ CONFIGS = {
         "trials": 4,
         "kernel_order": 3,
         "seed": 5,
+    },
+    "torus": {
+        "version": 1,
+        "surface": {"preset": "torus"},
+        "degrees": [0, 1, 2],
+        "cardinalities": [80, 160, 320],
+        "target": "trig",
+        "eval_count": 200,
+        "sigma_list": [0.0, 0.01],
+        "trials": 3,
+        "kernel_order": 3,
+        "seed": 11,
     },
     "cyclide_patch": {
         "version": 1,

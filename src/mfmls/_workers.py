@@ -1,11 +1,13 @@
 """The one in-order runner for independent jobs, and its worker policy.
 
-Three callers run independent jobs through :func:`map_in_order`: MLS
+Four callers run independent jobs through :func:`map_in_order`: MLS
 assembly (``mls.shape_function_matrix``) and power-function evaluation
-(``rbf.InterpSystem.power_values``) walk blocks whose heavy steps run in
-native code that releases the GIL, and take their worker count from
-:func:`worker_count`, so the two share one rule for when a second core is
-used; the CLI table commands run their cells with ``--threads`` workers.
+(``rbf.InterpSystem.power_values``) walk blocks, and the sampler
+(``geometry.sampling._shell_candidates``) walks the parts of each draw
+chunk, whose heavy steps run in native code that releases the GIL. These
+three take their worker count from :func:`worker_count`, so they share one
+rule for when a second core is used; the CLI table commands run their cells
+with ``--threads`` workers.
 Every job runs in the caller's ``contextvars`` context.
 """
 

@@ -5,7 +5,13 @@ Points are produced in three stages: rejection sampling of a thin shell
 proportional to ``|grad P|`` so that the projected candidates are close to
 uniform with respect to surface area), damped-Newton projection onto the
 surface, and greedy thinning to a maximal packing at a separation radius
-calibrated against the requested cardinality. One thinning scan, behind
+calibrated against the requested cardinality. The shell draws come in
+chunks; each chunk is drawn and tested in parts on the workers of
+``_workers.worker_count``, every part from its own copy of the generator
+jumped ahead (PCG64 ``advance``) to the part's first draw, so the draws,
+the stream left behind and the cloud do not depend on the number of
+workers. The k-d tree queries of the calibration and of the packing
+statistics use the same workers. One thinning scan, behind
 a batched k-d tree prefilter that drops clear rejections in bulk, serves
 every ambient dimension; ``sample_mesh`` shares it and the packing
 epilogue (``_packed_cloud``).
@@ -13,20 +19,24 @@ epilogue (``_packed_cloud``).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .. import _workers
 from ..errors import SamplingFailed
 from .cloud import BallRestriction, PointCloud
 from .surface import AlgebraicSurface, project_points
 
 # Relative half-width of the rejection shell |P| < band * coeff_scale.
 _BAND_REL = 0.15
-# Candidates drawn per chunk during rejection sampling.
+# Candidates drawn per chunk during rejection sampling, and chunk rows per
+# part: a part is drawn, shell-tested and gradient-evaluated as one job.
 _CHUNK = 1 << 21
+_SHELL_PART = 1 << 18
 # Accepted draws are Newton-projected this many at a time, in draw order,
 # until the candidate pool is full.
 _PROJECT_BATCH = 1 << 13
@@ -49,7 +59,14 @@ def _shell_candidates(
     rng: np.random.Generator,
     within: BallRestriction | None,
 ) -> np.ndarray:
-    """Draw ``n_cand`` on-surface candidate points, roughly area-uniform."""
+    """Draw ``n_cand`` on-surface candidate points, roughly area-uniform.
+
+    Each chunk is drawn, shell-tested and gradient-evaluated in parts of
+    ``_SHELL_PART`` rows on the workers of ``_workers.worker_count``; only
+    in-shell rows outlive a part. ``rng`` is then advanced past the chunk's
+    draws and its acceptance numbers are read, so the stream, the rows and
+    the cloud are those of drawing the whole chunk from ``rng`` at once.
+    """
     lo, hi = surface.bbox.copy()
     if within is not None:
         # Tangential drift during projection is tiny, so a modest margin
@@ -62,6 +79,24 @@ def _shell_candidates(
 
     band = _BAND_REL * surface.coeff_scale
     dim = surface.ambient_dim
+    workers = _workers.worker_count()
+
+    def shell_part(state, start):
+        """In-shell rows of the chunk part that starts at row ``start``, and
+        their |grad P|. The rows are the ones ``Generator.uniform(lo, hi)``
+        would draw from the chunk-start ``state`` at that offset: a copy of
+        the generator jumps past the ``start * dim`` draws before them, and
+        ``random`` scaled by ``hi - lo`` and shifted by ``lo`` gives
+        uniform's bits."""
+        bit_gen = np.random.PCG64()
+        bit_gen.state = state
+        bit_gen.advance(start * dim)
+        raw = np.random.Generator(bit_gen).random((min(_SHELL_PART, _CHUNK - start), dim))
+        raw *= hi - lo
+        raw += lo
+        raw = raw[np.abs(surface.eval(raw)) < band]
+        return raw, np.linalg.norm(surface.grad(raw), axis=1)
+
     max_draws = _MAX_DRAW_FACTOR * max(n_cand, 1)
     grad_cap = 0.0
     drawn = 0
@@ -73,14 +108,18 @@ def _shell_candidates(
                 f"rejection sampling exhausted {drawn} draws with only "
                 f"{n_kept}/{n_cand} candidates; surface may not intersect the region"
             )
-        raw = rng.uniform(lo, hi, size=(_CHUNK, dim))
-        u = rng.random(_CHUNK)  # drawn unconditionally to keep the stream aligned
+        parts: list[tuple[np.ndarray, np.ndarray]] = []
+        _workers.map_in_order(functools.partial(shell_part, rng.bit_generator.state),
+                              range(0, _CHUNK, _SHELL_PART), parts.append, workers)
+        raw, gnorm = (np.concatenate(arrays) for arrays in zip(*parts))
+        # One acceptance number per chunk row follows the chunk in the
+        # stream; only the first len(raw) are read.
+        rng.bit_generator.advance(_CHUNK * dim)
+        u = rng.random(len(raw))
+        rng.bit_generator.advance(_CHUNK - len(raw))
         drawn += _CHUNK
-        raw = raw[np.abs(surface.eval(raw)) < band]
         if len(raw) == 0:
             continue
-        u = u[: len(raw)]
-        gnorm = np.linalg.norm(surface.grad(raw), axis=1)
         grad_cap = max(grad_cap, 1.05 * gnorm.max())
         # Shell thickness scales like 1/|grad P|; thin the thick (flat) parts
         # so the surface density of accepted draws is approximately constant.
@@ -218,10 +257,11 @@ def _packed_cloud(pool: np.ndarray, idx: np.ndarray) -> PointCloud:
     ``separation`` (infinite for a single point) set."""
     pts = pool[idx]
     cloud = PointCloud(pts)
-    d, _ = cloud.tree.query(pool, k=1)
+    workers = _workers.worker_count()
+    d, _ = cloud.tree.query(pool, k=1, workers=workers)
     cloud.fill_distance = float(d.max())
     if len(pts) > 1:
-        dd, _ = cloud.tree.query(pts, k=2)
+        dd, _ = cloud.tree.query(pts, k=2, workers=workers)
         cloud.separation = float(dd[:, 1].min())
     else:
         cloud.separation = np.inf
@@ -242,7 +282,7 @@ def _initial_radius(cands: np.ndarray, n_target: int) -> float:
     """
     sub = cands[: min(len(cands), 50_000)]
     tree = cKDTree(sub)
-    d, _ = tree.query(sub, k=2)
+    d, _ = tree.query(sub, k=2, workers=_workers.worker_count())
     dbar = float(d[:, 1].mean())
     area = 4.0 * len(sub) * dbar * dbar
     return math.sqrt(0.69 * area / n_target)
