@@ -7,8 +7,9 @@ assembly (``mls.shape_function_matrix``) and power-function evaluation
 chunk, whose heavy steps run in native code that releases the GIL. These
 three take their worker count from :func:`worker_count`, so they share one
 rule for when a second core is used; the CLI table commands run their cells
-with ``--threads`` workers.
-Every job runs in the caller's ``contextvars`` context.
+with ``--threads`` workers. Pool threads run every job, in the caller's
+``contextvars`` context; the calling thread only hands jobs out and writes
+their results in order.
 """
 
 from __future__ import annotations
@@ -20,10 +21,9 @@ from concurrent.futures import Future, ThreadPoolExecutor
 
 # Most workers a call uses; more have not been measured.
 _MAX_WORKERS = 2
-# Blocks queued or running per helper thread, and started but unwritten
-# blocks per worker. Three kept a helper busier (MLS m=3-5 fits about 5%
-# faster) but let so many finished m=0 blocks wait that their memory grew
-# with the number of points.
+# Started but unwritten jobs per worker. Three kept the workers busier (MLS
+# m=3-5 fits about 5% faster) but let so many finished m=0 blocks wait that
+# their memory grew with the number of points.
 _QUEUED = 2
 
 
@@ -49,38 +49,23 @@ def worker_count() -> int:
 def map_in_order(work, jobs, write, workers: int) -> None:
     """``write(work(job))`` for every job, the writes in job order.
 
-    The calling thread hands jobs to ``workers - 1`` helper threads until
-    ``_QUEUED`` per helper are queued or running, and runs the next job
-    itself otherwise; after each job it writes every finished job at the
-    head of the line. At most ``_QUEUED * workers`` jobs are started but not
-    written. Helper jobs run in a copy of the caller's ``contextvars``
-    context, so every job sees the caller's context variables. The first
-    error in job order is raised, the one a serial loop would raise, once the
-    helpers have stopped.
+    A pool of ``workers`` threads runs every job, W = 1 included, each in a
+    copy of the caller's ``contextvars`` context. Before each submission the
+    calling thread writes every finished job at the head of the line, and
+    waits for the head while ``_QUEUED * workers`` jobs are started but not
+    written. The first error in job order is raised, the one a serial loop
+    would raise, once the running jobs have finished; an interrupt, too,
+    waits for the running jobs, and the queued ones are cancelled.
     """
     pending: deque[Future] = deque()
-    with ThreadPoolExecutor(max(1, workers - 1)) as helpers:
+    with ThreadPoolExecutor(workers) as pool:
         try:
             for job in jobs:
-                if sum(not f.done() for f in pending) < _QUEUED * (workers - 1):
-                    context = contextvars.copy_context()
-                    pending.append(helpers.submit(context.run, work, job))
-                else:
-                    pending.append(_run_here(work, job))
-                while pending and (pending[0].done() or len(pending) > _QUEUED * workers):
+                while pending and (pending[0].done() or len(pending) >= _QUEUED * workers):
                     write(pending.popleft().result())
+                pending.append(pool.submit(contextvars.copy_context().run, work, job))
             while pending:
                 write(pending.popleft().result())
         finally:
             for future in pending:
                 future.cancel()
-
-
-def _run_here(work, job) -> Future:
-    """A finished future holding ``work(job)``, run in the calling thread."""
-    future: Future = Future()
-    try:
-        future.set_result(work(job))
-    except Exception as exc:
-        future.set_exception(exc)
-    return future

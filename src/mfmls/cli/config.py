@@ -10,16 +10,18 @@ seeding path.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError, EmptyMesh, MeshFormatError
+from ..errors import ConfigError, EmptyMesh, KernelOrderError, MeshFormatError
 from ..geometry.cloud import BallRestriction, PointCloud
 from ..geometry.mesh import TriMesh, load_obj, sample_mesh
 from ..geometry.presets import cyclide, cyclide_patch_center, sphere, torus
 from ..geometry.sampling import sample_quasi_uniform
 from ..geometry.surface import AlgebraicSurface
+from ..rbf import KernelSpec
 
 CONFIG_VERSION = 1
 
@@ -93,8 +95,10 @@ def _as_int(value, where: str) -> int:
 
 
 def _as_number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where} must be a number, got {value!r}")
+    # json reads NaN, Infinity and ints too large for a float.
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -198,8 +202,8 @@ def _parse_surface(spec, where: str = "surface") -> SurfaceHandle:
             raise ConfigError(
                 f"{where}.bbox must be [[lo...], [hi...]] with {dim} coordinates"
             )
-        if not np.all(bbox[0] < bbox[1]):
-            raise ConfigError(f"{where}.bbox lower corner must be below upper corner")
+        if not (np.isfinite(bbox).all() and np.all(bbox[0] < bbox[1])):
+            raise ConfigError(f"{where}.bbox corners must be finite, the lower below the upper")
         surface = AlgebraicSurface.from_coefficients(dim, parsed, bbox)
         return SurfaceHandle(surface, None)
     raise ConfigError(f"{where} needs either a 'preset' or raw 'coefficients'")
@@ -322,9 +326,12 @@ def parse_config(data) -> ExperimentConfig:
         if eval_count < 1:
             raise ConfigError("eval_count must be >= 1")
 
-    kernel_order = None
-    if data.get("kernel_order") is not None:
-        kernel_order = _as_int(data["kernel_order"], "kernel_order")
+    kernel_order = data.get("kernel_order")
+    if kernel_order is not None:
+        try:
+            KernelSpec(kernel_order)
+        except KernelOrderError as exc:
+            raise ConfigError(f"kernel_order: {exc}") from None
 
     noise_reference = data.get("noise_reference", "clean")
     if noise_reference not in ("clean", "exact"):

@@ -19,13 +19,12 @@ product per stack and rank, and it writes the rows straight into the CSR
 arrays. Every row is bit-identical to the per-point result, and the memory
 beyond the output is bounded by the block, not by the number of points.
 
-The fits are independent, so the blocks run on W workers under the policy
-of ``_workers``: the calling thread and W - 1 helper threads, W = 1 unless
-BLAS is held to one thread and then at most two. The workers share the work
-space, each block getting ``_FIT_BLOCK // W`` words. The calling thread
-queues blocks for the helpers, fits the others itself, and writes every
-block into the diagnostics and CSR arrays in block order. Block boundaries
-never change a row, so the output is the same for every W.
+The fits are independent, so the blocks run on the W pool threads of
+``_workers.map_in_order``, W = 1 unless BLAS is held to one thread and then
+at most two. The workers share the work space, each block getting
+``_FIT_BLOCK // W`` words. The calling thread hands the blocks out and
+writes every block into the diagnostics and CSR arrays in block order.
+Block boundaries never change a row, so the output is the same for every W.
 """
 
 from __future__ import annotations

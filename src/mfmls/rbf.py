@@ -193,9 +193,10 @@ class InterpSystem:
     Builds the symmetric Gram matrix ``K[i, j] = phi(|xi_i - xi_j|)`` and a
     Cholesky factorization of ``K + jitter * I``, escalating the diagonal
     jitter through ``0 -> 1e-12 phi(0) -> 1e-10 phi(0)`` if factorization
-    fails. The applied jitter is recorded on :attr:`jitter`. Instances are
-    immutable after construction; evaluation methods are pure and safe to
-    call concurrently.
+    fails. The applied jitter is recorded on :attr:`jitter`. One n x n array
+    holds the factor below K's strict upper triangle, from which :attr:`gram`
+    rebuilds K. Instances are immutable after construction; evaluation
+    methods are pure and safe to call concurrently.
 
     Raises
     ------
@@ -212,15 +213,15 @@ class InterpSystem:
             raise ValueError("InterpSystem needs at least one site")
         if n > 1 and cKDTree(pts).query(pts, k=2)[0][:, 1].min() == 0.0:
             raise DuplicateSites("two interpolation sites coincide")
-        gram = _symmetric_gram(spec, pts)
         phi0 = _phi_zero(spec)
         diagonal = np.diag_indices(n)
         factor = None
         jitter = 0.0
         for rel in _JITTER_LADDER:
             jitter = rel * phi0
-            # Fortran order lets LAPACK factorize the fresh copy in place.
-            shifted = np.array(gram, order="F")
+            # K is exactly symmetric, so its transpose is K in Fortran order,
+            # which LAPACK factorizes in place.
+            shifted = _symmetric_gram(spec, pts).T
             shifted[diagonal] += jitter
             try:
                 factor = cho_factor(shifted, lower=True, overwrite_a=True)
@@ -234,13 +235,20 @@ class InterpSystem:
             )
         self.spec = spec
         self.sites = pts
-        self.gram = gram
         self.jitter = jitter
         self._factor = factor
-        self.gram.setflags(write=False)
 
     def __len__(self):
         return len(self.sites)
+
+    @property
+    def gram(self) -> np.ndarray:
+        """K from the factor's strict upper triangle and phi(0) on the
+        diagonal, as a fresh array at each call."""
+        upper = np.triu(self._factor[0], 1)
+        gram = upper + upper.T
+        gram[np.diag_indices(len(gram))] = _phi_zero(self.spec)
+        return gram
 
     @property
     def factor(self) -> np.ndarray:

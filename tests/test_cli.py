@@ -80,6 +80,7 @@ def test_version_checked(tmp_path):
         ("degrees", [-1]),
         ("sigma_list", []),
         ("sigma_list", [-0.1]),
+        ("sigma_list", [10**400]),
         ("trials", 1),
         ("target", "sinc"),
         ("noise_reference", "both"),
@@ -121,6 +122,25 @@ def test_bad_preset_parameters_rejected(tmp_path, surface, restriction):
 def test_bad_preset_parameters_exit_2(tmp_path, capsys):
     cfg_path = write_config(tmp_path, surface={"preset": "cyclide", "a": 1.0, "b": 2.0})
     assert main(["sample", "--config", cfg_path]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        ("sample", {"restriction": {"center": [0.0, 0.0, 1.0], "radius": math.nan}}),
+        ("sample", {"restriction": {"center": [math.nan, 0.0, 0.0], "radius": 0.5}}),
+        ("noise", {"sigma_list": [math.nan], "trials": 2}),
+        ("sample", {"surface": {
+            "coefficients": {"2,0,0": 1.0, "0,2,0": 1.0, "0,0,2": 1.0, "0,0,0": -1.0},
+            "bbox": [[-math.inf, -1.1, -1.1], [1.1, 1.1, 1.1]]}}),
+        ("power", {"kernel_order": 1}),
+    ],
+    ids=["nan-radius", "nan-center", "nan-sigma", "infinite-bbox", "kernel-order-1"],
+)
+def test_bad_numbers_exit_2(tmp_path, capsys, command, overrides):
+    cfg_path = write_config(tmp_path, **overrides)
+    assert main([command, "--config", cfg_path]) == 2
     assert "config error" in capsys.readouterr().err
 
 

@@ -6,6 +6,7 @@ import contextvars
 import functools
 import sys
 import threading
+import time
 import tracemalloc
 from unittest import mock
 
@@ -226,7 +227,7 @@ def test_block_error_is_raised_in_block_order(workers):
 
 
 def test_block_plan_error_stops_the_helpers():
-    # The block plan itself fails after two blocks went to the helpers.
+    # The block plan itself fails after two blocks went to the workers.
     def failing_blocks(counts, max_rows):
         yield 0, 1
         yield 1, 2
@@ -271,9 +272,41 @@ def test_map_in_order_jobs_see_the_callers_context(workers):
         marker.reset(token)
     assert [job for job, _, _ in got] == list(range(12))
     assert [value for _, value, _ in got] == ["caller"] * 12
-    # The first job always goes to a helper when there is one.
-    helpers = {ident for _, _, ident in got} - {threading.get_ident()}
-    assert bool(helpers) == (workers > 1)
+    # Pool threads run every job, W = 1 included.
+    assert threading.get_ident() not in {ident for _, _, ident in got}
+
+
+def test_map_in_order_runs_two_jobs_on_two_workers_at_once():
+    # Each job waits for the other; run one after the other, both time out.
+    barrier = threading.Barrier(2, timeout=2)
+    got = []
+    _workers.map_in_order(lambda job: barrier.wait() >= 0, range(2), got.append, 2)
+    assert got == [True, True]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_map_in_order_bounds_the_unwritten_jobs(workers):
+    lock = threading.Lock()
+    unwritten = most = 0
+    got = []
+
+    def work(job):
+        nonlocal unwritten, most
+        with lock:
+            unwritten += 1
+            most = max(most, unwritten)
+        time.sleep(0.002 * (job % 3))
+        return job
+
+    def write(job):
+        nonlocal unwritten
+        with lock:
+            unwritten -= 1
+        got.append(job)
+
+    _workers.map_in_order(work, range(50), write, workers)
+    assert got == list(range(50))
+    assert most <= _workers._QUEUED * workers
 
 
 def test_more_workers_than_cores_write_every_block():
