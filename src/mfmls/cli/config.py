@@ -291,6 +291,8 @@ def parse_config(data) -> ExperimentConfig:
     degrees = _int_list(data["degrees"], "degrees", minimum=0)
     cardinalities = _int_list(data["cardinalities"], "cardinalities", minimum=1)
     seed = _as_int(data["seed"], "seed")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
 
     restriction = None
     if data.get("restriction") is not None:

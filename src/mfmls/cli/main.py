@@ -53,6 +53,8 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg = dataclasses.replace(cfg, seed=args.seed)
+            if cfg.seed < 0:
+                raise ConfigError(f"--seed must be >= 0, got {cfg.seed}")
         out_dir = args.out if args.out is not None else cfg.output_dir
         failures = COMMANDS[args.command](cfg, out_dir, threads)
     except ConfigError as exc:

@@ -8,13 +8,14 @@ surface, and greedy thinning to a maximal packing at a separation radius
 calibrated against the requested cardinality. The shell draws come in
 chunks; each chunk is drawn and tested in parts on the workers of
 ``_workers.worker_count``, every part from its own copy of the generator
-jumped ahead (PCG64 ``advance``) to the part's first draw, so the draws,
-the stream left behind and the cloud do not depend on the number of
-workers. The k-d tree queries of the calibration and of the packing
-statistics use the same workers. One thinning scan, behind
-a batched k-d tree prefilter that drops clear rejections in bulk, serves
-every ambient dimension; ``sample_mesh`` shares it and the packing
-epilogue (``_packed_cloud``).
+jumped ahead (PCG64 ``advance``) to the part's first draw, and the parts'
+in-shell rows then meet the acceptance test one part at a time, so no
+array spans the chunk. The draws, the stream left behind and the cloud do
+not depend on the number of workers. The k-d tree queries of the
+calibration and of the packing statistics use the same workers. One
+thinning scan, behind a batched k-d tree prefilter that drops clear
+rejections in bulk, serves every ambient dimension; ``sample_mesh``
+shares it and the packing epilogue (``_packed_cloud``).
 """
 
 from __future__ import annotations
@@ -64,8 +65,9 @@ def _shell_candidates(
     Each chunk is drawn, shell-tested and gradient-evaluated in parts of
     ``_SHELL_PART`` rows on the workers of ``_workers.worker_count``; only
     in-shell rows outlive a part. ``rng`` is then advanced past the chunk's
-    draws and its acceptance numbers are read, so the stream, the rows and
-    the cloud are those of drawing the whole chunk from ``rng`` at once.
+    draws, and each part in turn reads its acceptance numbers from it and is
+    replaced by its accepted rows. The stream, the rows and the cloud are
+    those of drawing the whole chunk and its acceptance numbers at once.
     """
     lo, hi = surface.bbox.copy()
     if within is not None:
@@ -111,19 +113,23 @@ def _shell_candidates(
         parts: list[tuple[np.ndarray, np.ndarray]] = []
         _workers.map_in_order(functools.partial(shell_part, rng.bit_generator.state),
                               range(0, _CHUNK, _SHELL_PART), parts.append, workers)
-        raw, gnorm = (np.concatenate(arrays) for arrays in zip(*parts))
+        in_shell = sum(len(rows) for rows, _ in parts)
         # One acceptance number per chunk row follows the chunk in the
-        # stream; only the first len(raw) are read.
+        # stream; only the first in_shell are read, part by part.
         rng.bit_generator.advance(_CHUNK * dim)
-        u = rng.random(len(raw))
-        rng.bit_generator.advance(_CHUNK - len(raw))
         drawn += _CHUNK
-        if len(raw) == 0:
+        if in_shell == 0:
+            rng.bit_generator.advance(_CHUNK)
             continue
-        grad_cap = max(grad_cap, 1.05 * gnorm.max())
+        grad_cap = max(grad_cap, 1.05 * max(gnorm.max(initial=0.0) for _, gnorm in parts))
         # Shell thickness scales like 1/|grad P|; thin the thick (flat) parts
         # so the surface density of accepted draws is approximately constant.
-        raw = raw[u * grad_cap < gnorm]
+        accepted = []
+        while parts:
+            rows, gnorm = parts.pop(0)
+            accepted.append(rows[rng.random(len(rows)) * grad_cap < gnorm])
+        rng.bit_generator.advance(_CHUNK - in_shell)
+        raw = np.concatenate(accepted)
         # Projection is row-independent, so projecting the accepted draws in
         # order and stopping once the pool is full keeps the same prefix.
         for start in range(0, len(raw), _PROJECT_BATCH):

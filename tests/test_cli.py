@@ -88,6 +88,7 @@ def test_version_checked(tmp_path):
         ("cardinalities", [80, 80, 160]),
         ("degrees", [0, 1, 0]),
         ("sigma_list", [10**400]),
+        ("seed", -1),
     ],
 )
 def test_bad_field_values_rejected(tmp_path, field, value):
@@ -135,8 +136,10 @@ def test_bad_preset_parameters_exit_2(tmp_path, capsys):
             "coefficients": {"2,0,0": 1.0, "0,2,0": 1.0, "0,0,2": 1.0, "0,0,0": -1.0},
             "bbox": [[-math.inf, -1.1, -1.1], [1.1, 1.1, 1.1]]}}),
         ("power", {"kernel_order": 1}),
+        ("sample", {"seed": -1}),
     ],
-    ids=["nan-radius", "nan-center", "nan-sigma", "infinite-bbox", "kernel-order-1"],
+    ids=["nan-radius", "nan-center", "nan-sigma", "infinite-bbox", "kernel-order-1",
+         "negative-seed"],
 )
 def test_bad_numbers_exit_2(tmp_path, capsys, command, overrides):
     cfg_path = write_config(tmp_path, **overrides)
@@ -227,6 +230,12 @@ def test_sample_deterministic_and_summarized(tmp_path, capsys):
     file_b = (out_b / "points_N100.csv").read_bytes()
     assert file_a == file_b
     assert len(file_a.splitlines()) == summary["n_points"] + 1
+
+
+def test_negative_seed_flag_exits_2(tmp_path, capsys):
+    cfg_path = write_config(tmp_path)
+    assert main(["sample", "--config", cfg_path, "--seed", "-5"]) == 2
+    assert "config error: --seed must be >= 0" in capsys.readouterr().err
 
 
 def test_sample_seed_flag_changes_cloud(tmp_path, capsys):

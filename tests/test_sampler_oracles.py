@@ -178,6 +178,9 @@ _SHELL_CASES = [
     ("cyclide", 30_000, 6, True, None, None),
     # Several small chunks, each ending in a short part.
     ("cyclide", 2000, 7, False, 1 << 14, 5000),
+    # Tiny chunks of five parts: more than half the parts and some whole
+    # chunks have no row in the shell, between ones that have some.
+    ("cyclide", 150, 9, True, 24, 5),
 ]
 
 
@@ -214,11 +217,22 @@ def test_shell_candidates_match_full_chunk_projection(
     assert rng.bit_generator.state == state
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_shell_candidates_never_hold_a_whole_chunk(workers):
-    # Only in-shell rows (about 6% of a cyclide chunk) outlive a part. The
-    # torus keeps about half its chunk in the shell, on purpose.
-    surf = SURFACES["cyclide"]
+@pytest.mark.parametrize("name, workers", [
+    pytest.param("cyclide", 1, id="1"),
+    pytest.param("cyclide", 2, id="2"),
+    pytest.param("torus", 1, id="torus-1"),
+    pytest.param("torus", 2, id="torus-2"),
+])
+def test_shell_candidates_never_hold_a_whole_chunk(name, workers):
+    # Only in-shell rows and their |grad P| (dim + 1 doubles a row) outlive
+    # a part, and acceptance reads them part by part, so the chunk's
+    # in-shell rows (about 6% of a cyclide chunk, half of a torus chunk)
+    # and the draws of the parts started but not yet written bound the peak.
+    surf = SURFACES[name]
+    dim = surf.ambient_dim
+    raw = np.random.default_rng(0).uniform(*surf.bbox, size=(sampling._CHUNK, dim))
+    in_shell = np.count_nonzero(np.abs(surf.eval(raw)) < sampling._BAND_REL * surf.coeff_scale)
+    del raw
     tracemalloc.start()
     try:
         with mock.patch.object(_workers, "worker_count", lambda: workers):
@@ -226,7 +240,8 @@ def test_shell_candidates_never_hold_a_whole_chunk(workers):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < sampling._CHUNK * surf.ambient_dim * 8
+    started = _workers._QUEUED * workers
+    assert peak < (in_shell * (dim + 1) + started * sampling._SHELL_PART * dim) * 8
 
 
 def test_exhausted_draws_fail_alike_on_any_workers(monkeypatch):
