@@ -4,7 +4,9 @@ Seed policy (all derived from the config seed, no wall clock anywhere):
 
 * the cloud for cardinality index ``i`` uses ``seed + i``;
 * the shared evaluation cloud uses ``seed + 999983``;
-* noise trials stream from the config seed itself (per-trial substreams).
+* noise trials stream from the config seed itself (per-trial substreams);
+* ``power`` level ``i`` draws its sites from ``seed + 1000 * i`` and its
+  probes from ``seed + 1000 * i + 500`` (``rbf.power_rate_study``).
 
 Cells — one per (m, N) pair, or (m, N, sigma) for the noise study — run on
 ``--threads`` workers through ``_workers.map_in_order``, the runner MLS
@@ -24,7 +26,7 @@ import numpy as np
 
 from .._workers import map_in_order
 from ..errors import ConfigError, MfmlsError
-from ..geometry.cloud import PointCloud, save_csv
+from ..geometry.cloud import PointCloud, _header, save_csv
 from ..mls import MlsConfig, mls_evaluate, noise_study, shape_function_matrix
 from ..polybasis import basis_size, hilbert_dim_hypersurface
 from ..rbf import KernelSpec, power_rate_study
@@ -55,11 +57,8 @@ def _write_json(path, obj) -> None:
 
 
 def _field_csv(path, points: np.ndarray, values: np.ndarray) -> None:
-    names = ("x", "y", "z") if points.shape[1] == 3 else tuple(
-        f"x{i + 1}" for i in range(points.shape[1])
-    )
     rows = [list(p) + [v] for p, v in zip(points, values)]
-    _write_csv(path, list(names) + ["value"], rows)
+    _write_csv(path, [_header(points.shape[1]), "value"], rows)
 
 
 #: Exceptions that fail one cell (and land in the manifest) instead of the run.
@@ -309,7 +308,7 @@ def cmd_power(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
         _field_csv(
             os.path.join(out_dir, f"power_sites_N{n}.csv"),
             level.sites.points,
-            level.system.power_values(level.sites.points),
+            level.site_power,
         )
     summary = {
         "kernel_order": cfg.kernel_order,

@@ -118,9 +118,6 @@ def _shell_candidates(
         # stream; only the first in_shell are read, part by part.
         rng.bit_generator.advance(_CHUNK * dim)
         drawn += _CHUNK
-        if in_shell == 0:
-            rng.bit_generator.advance(_CHUNK)
-            continue
         grad_cap = max(grad_cap, 1.05 * max(gnorm.max(initial=0.0) for _, gnorm in parts))
         # Shell thickness scales like 1/|grad P|; thin the thick (flat) parts
         # so the surface density of accepted draws is approximately constant.

@@ -342,11 +342,11 @@ def power_field(spec: KernelSpec, sites, eval_points) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PowerLevel:
-    """One density level of a rate study: its clouds, system and probe power."""
+    """One level of a rate study: its clouds and its power at sites and probes."""
 
     sites: PointCloud
     probes: PointCloud
-    system: InterpSystem
+    site_power: np.ndarray
     probe_power: np.ndarray
 
 
@@ -378,8 +378,8 @@ def power_rate_study(
     ``probe_factor`` times denser. The reported slope is the least-squares
     fit of log(sup P) against log(h) over the ladder, with h the fill
     distance of the site cloud; ``residual`` is the RMS of the log-log fit
-    residuals. ``levels`` keeps each level's clouds, factorized system and
-    power values at the probes.
+    residuals. ``levels`` keeps each level's clouds and its power at the sites
+    and probes; ``InterpSystem(spec, level.sites)`` rebuilds its system.
 
     Parameters
     ----------
@@ -390,8 +390,8 @@ def power_rate_study(
     density_ladder : sequence of int
         Site counts; at least three levels are required.
     seed : int
-        Base seed; per-level site and probe clouds use fixed offsets so the
-        whole study is reproducible.
+        Base seed: level ``i`` samples sites from ``seed + 1000 * i`` and
+        probes from ``seed + 1000 * i + 500``, so the study is reproducible.
     within : BallRestriction, optional
         Restrict sites and probes to the open ball (a surface patch).
 
@@ -412,9 +412,9 @@ def power_rate_study(
             surface, probe_factor * n, seed=seed + 1000 * i + 500, within=within
         )
         system = InterpSystem(spec, sites)
-        levels.append(
-            PowerLevel(sites, probes, system, system.power_values(probes.points))
-        )
+        levels.append(PowerLevel(sites, probes, system.power_values(sites.points),
+                                 system.power_values(probes.points)))
+        del system  # else its factor lives on through the next level's build
     fills = np.array([level.sites.fill_distance for level in levels])
     sups = np.array([level.probe_power.max() for level in levels])
     coeffs, ssr, *_ = np.polyfit(np.log(fills), np.log(sups), 1, full=True)

@@ -10,11 +10,14 @@ import contextvars
 import json
 import math
 import os
+import subprocess
+import sys
 import threading
 
 import numpy as np
 import pytest
 
+import mfmls
 from mfmls.cli.config import TARGETS, parse_config
 from mfmls.cli.main import main, resolve_threads
 from mfmls.errors import ConfigError
@@ -492,6 +495,21 @@ def test_noise_requires_sigma_and_trials(tmp_path, capsys):
     assert "sigma_list" in capsys.readouterr().err
 
 
+def test_field_csvs_head_coordinates_like_point_csvs(tmp_path, capsys):
+    circle = {"coefficients": {"2,0": 1.0, "0,2": 1.0, "0,0": -1.0},
+              "bbox": [[-1.1, -1.1], [1.1, 1.1]]}
+    cfg_path = write_config(tmp_path, surface=circle, degrees=[1],
+                            cardinalities=[40, 50, 120], eval_count=100,
+                            kernel_order=3)
+    out = tmp_path / "out"
+    for command in ("sample", "lebesgue", "power"):
+        assert main([command, "--config", cfg_path, "--out", str(out)]) == 0
+    assert (out / "points_N40.csv").read_text().startswith("x,y\n")
+    for name in ("lebesgue_field_m1_N40.csv", "power_field_N40.csv",
+                 "power_sites_N40.csv"):
+        assert (out / name).read_text().startswith("x,y,value\n"), name
+
+
 # --- power -----------------------------------------------------------------------
 
 def test_power_outputs(tmp_path, monkeypatch):
@@ -607,6 +625,18 @@ def test_power_byte_deterministic_across_runs_and_threads(tmp_path):
         assert sorted(os.listdir(out)) == names
         for name in names:
             assert (out / name).read_bytes() == (outs[0] / name).read_bytes()
+
+
+def test_python_dash_m_mfmls_runs_the_cli_without_warnings():
+    src = os.path.dirname(os.path.dirname(mfmls.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "mfmls", "--help"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: mfmls")
 
 
 def test_bad_out_directory_exits_2(tmp_path, capsys):

@@ -8,7 +8,9 @@ lim_{r->0} r^nu K_nu(r) = 2^(nu-1) Gamma(nu).
 
 from __future__ import annotations
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gamma, kv
 
+from mfmls import rbf
 from mfmls.errors import (
     DuplicateSites,
     FactorizationFailed,
@@ -317,13 +320,35 @@ def test_power_rate_study_deterministic():
 
 
 def test_power_rate_study_keeps_its_levels():
-    study = power_rate_study(KernelSpec(2), sphere(), [30, 60, 120], seed=3)
+    spec = KernelSpec(2)
+    study = power_rate_study(spec, sphere(), [30, 60, 120], seed=3)
     assert len(study.levels) == 3
     for n, h, sup, level in zip(study.site_counts, study.fill_distances,
                                 study.sup_power, study.levels):
         assert level.sites.fill_distance == h
         assert level.probe_power.max() == sup
         assert len(level.probes) > 6 * n  # probe_factor 8, within 10%
-        assert np.array_equal(level.system.sites, level.sites.points)
+        # A rebuilt system is the study's bit for bit.
+        system = InterpSystem(spec, level.sites)
         np.testing.assert_array_equal(
-            level.probe_power, level.system.power_values(level.probes.points))
+            level.site_power, system.power_values(level.sites.points))
+        np.testing.assert_array_equal(
+            level.probe_power, system.power_values(level.probes.points))
+
+
+def test_power_rate_study_keeps_one_system_alive(monkeypatch):
+    built, alive_at_build = [], []
+
+    class RecordingSystem(InterpSystem):
+        def __init__(self, spec, sites):
+            gc.collect()
+            alive_at_build.append(sum(ref() is not None for ref in built))
+            super().__init__(spec, sites)
+            built.append(weakref.ref(self))
+
+    monkeypatch.setattr(rbf, "InterpSystem", RecordingSystem)
+    study = power_rate_study(KernelSpec(2), sphere(), [30, 60, 120], seed=3)
+    gc.collect()
+    assert len(study.levels) == len(built) == 3
+    assert alive_at_build == [0, 0, 0]
+    assert all(ref() is None for ref in built)
