@@ -113,34 +113,7 @@ def _int_list(value, where: str, minimum: int) -> tuple[int, ...]:
     return out
 
 
-class SurfaceHandle:
-    """Uniform sampling front for algebraic surfaces and triangle meshes."""
-
-    def __init__(self, surface: AlgebraicSurface | None, mesh: TriMesh | None):
-        if (surface is None) == (mesh is None):
-            raise ValueError("exactly one of surface/mesh must be given")
-        self.surface = surface
-        self.mesh = mesh
-
-    @property
-    def is_algebraic(self) -> bool:
-        return self.surface is not None
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.surface.ambient_dim if self.surface is not None else 3
-
-    def sample(
-        self, n: int, seed: int, within: BallRestriction | None = None
-    ) -> PointCloud:
-        if self.surface is not None:
-            return sample_quasi_uniform(self.surface, n, seed, within=within)
-        if within is not None:
-            raise ConfigError("mesh surfaces do not support a restriction")
-        return sample_mesh(self.mesh, n, seed)
-
-
-def _parse_surface(spec, where: str = "surface") -> SurfaceHandle:
+def _parse_surface(spec, where: str = "surface") -> AlgebraicSurface | TriMesh:
     if not isinstance(spec, dict):
         raise ConfigError(f"{where} must be an object")
     if "preset" in spec and "coefficients" in spec:
@@ -158,7 +131,7 @@ def _parse_surface(spec, where: str = "surface") -> SurfaceHandle:
                 surface = make(**kwargs)
             except ValueError as exc:
                 raise ConfigError(f"{where}: {exc}") from None
-            return SurfaceHandle(surface, None)
+            return surface
         if name == "mesh":
             _check_keys(spec, {"preset", "path"}, {"preset", "path"}, where)
             path = spec["path"]
@@ -170,7 +143,7 @@ def _parse_surface(spec, where: str = "surface") -> SurfaceHandle:
                 raise ConfigError(f"cannot read mesh file {path!r}: {exc}") from exc
             except (MeshFormatError, EmptyMesh) as exc:
                 raise ConfigError(f"bad mesh file {path!r}: {exc}") from exc
-            return SurfaceHandle(None, mesh)
+            return mesh
         raise ConfigError(
             f"unknown surface preset {name!r}; "
             "expected sphere, torus, cyclide, or mesh"
@@ -204,13 +177,12 @@ def _parse_surface(spec, where: str = "surface") -> SurfaceHandle:
             )
         if not (np.isfinite(bbox).all() and np.all(bbox[0] < bbox[1])):
             raise ConfigError(f"{where}.bbox corners must be finite, the lower below the upper")
-        surface = AlgebraicSurface.from_coefficients(dim, parsed, bbox)
-        return SurfaceHandle(surface, None)
+        return AlgebraicSurface.from_coefficients(dim, parsed, bbox)
     raise ConfigError(f"{where} needs either a 'preset' or raw 'coefficients'")
 
 
 def _parse_restriction(
-    spec, handle: SurfaceHandle, surface_spec: dict
+    spec, surface: AlgebraicSurface | TriMesh, surface_spec: dict
 ) -> BallRestriction:
     where = "restriction"
     if not isinstance(spec, dict):
@@ -219,7 +191,7 @@ def _parse_restriction(
     radius = _as_number(spec["radius"], f"{where}.radius")
     if radius <= 0:
         raise ConfigError(f"{where}.radius must be positive")
-    if not handle.is_algebraic:
+    if isinstance(surface, TriMesh):
         raise ConfigError("mesh surfaces do not support a restriction")
     center = spec["center"]
     if center == "patch":
@@ -238,10 +210,8 @@ def _parse_restriction(
         center = np.asarray(
             [_as_number(c, f"{where}.center entry") for c in center], dtype=float
         )
-        if center.shape != (handle.ambient_dim,):
-            raise ConfigError(
-                f"{where}.center needs {handle.ambient_dim} coordinates"
-            )
+        if center.shape != (surface.ambient_dim,):
+            raise ConfigError(f"{where}.center needs {surface.ambient_dim} coordinates")
     return BallRestriction(np.asarray(center, dtype=float), radius)
 
 
@@ -249,7 +219,7 @@ def _parse_restriction(
 class ExperimentConfig:
     """Validated experiment description shared by every CLI command."""
 
-    surface: SurfaceHandle
+    surface: AlgebraicSurface | TriMesh
     degrees: tuple[int, ...]
     cardinalities: tuple[int, ...]
     seed: int
@@ -262,11 +232,22 @@ class ExperimentConfig:
     kernel_order: int | None
     noise_reference: str
 
+    def sample(self, n: int, seed: int) -> PointCloud:
+        """Sample ``n`` points from ``seed``, inside the restriction if any."""
+        if isinstance(self.surface, TriMesh):
+            return sample_mesh(self.surface, n, seed)
+        return sample_quasi_uniform(self.surface, n, seed, within=self.restriction)
+
     def target(self):
         """Resolve the named target function, or fail with ConfigError."""
         if self.target_name is None:
             raise ConfigError(
                 f"this command needs a 'target'; known names: {sorted(TARGETS)}"
+            )
+        if not isinstance(self.surface, TriMesh) and self.surface.ambient_dim != 3:
+            raise ConfigError(
+                f"the named targets read x, y and z; this surface lies in "
+                f"R^{self.surface.ambient_dim}"
             )
         return TARGETS[self.target_name]
 
@@ -287,7 +268,7 @@ def parse_config(data) -> ExperimentConfig:
         raise ConfigError(
             f"unsupported config version {version}; expected {CONFIG_VERSION}"
         )
-    handle = _parse_surface(data["surface"])
+    surface = _parse_surface(data["surface"])
     degrees = _int_list(data["degrees"], "degrees", minimum=0)
     cardinalities = _int_list(data["cardinalities"], "cardinalities", minimum=1)
     seed = _as_int(data["seed"], "seed")
@@ -296,7 +277,7 @@ def parse_config(data) -> ExperimentConfig:
 
     restriction = None
     if data.get("restriction") is not None:
-        restriction = _parse_restriction(data["restriction"], handle, data["surface"])
+        restriction = _parse_restriction(data["restriction"], surface, data["surface"])
 
     target_name = data.get("target")
     if target_name is not None:
@@ -346,7 +327,7 @@ def parse_config(data) -> ExperimentConfig:
         raise ConfigError("output_dir must be a string")
 
     return ExperimentConfig(
-        surface=handle,
+        surface=surface,
         degrees=degrees,
         cardinalities=cardinalities,
         seed=seed,

@@ -26,28 +26,14 @@ import numpy as np
 
 from .._workers import map_in_order
 from ..errors import ConfigError, MfmlsError
-from ..geometry.cloud import PointCloud, _header, save_csv
+from ..geometry.cloud import PointCloud, _header, _write_csv, save_csv
+from ..geometry.mesh import TriMesh
 from ..mls import MlsConfig, mls_evaluate, noise_study, shape_function_matrix
 from ..polybasis import basis_size, hilbert_dim_hypersurface
 from ..rbf import KernelSpec, power_rate_study
 from .config import ExperimentConfig
 
 _EVAL_SEED_OFFSET = 999983
-
-
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.17g}"
-
-
-def _write_csv(path, header, rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def _write_json(path, obj) -> None:
@@ -67,14 +53,11 @@ _CELL_ERRORS = (MfmlsError, np.linalg.LinAlgError)
 
 
 def _sample_clouds(cfg: ExperimentConfig) -> dict[int, PointCloud]:
-    clouds = {}
-    for i, n in enumerate(cfg.cardinalities):
-        clouds[n] = cfg.surface.sample(n, cfg.seed + i, within=cfg.restriction)
-    return clouds
+    return {n: cfg.sample(n, cfg.seed + i) for i, n in enumerate(cfg.cardinalities)}
 
 
 def _sample_evals(cfg: ExperimentConfig, count: int) -> PointCloud:
-    return cfg.surface.sample(count, cfg.seed + _EVAL_SEED_OFFSET, within=cfg.restriction)
+    return cfg.sample(count, cfg.seed + _EVAL_SEED_OFFSET)
 
 
 def _rank_summary(diag) -> str:
@@ -292,12 +275,12 @@ def cmd_noise(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
 def cmd_power(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
     if cfg.kernel_order is None:
         raise ConfigError("power needs a 'kernel_order'")
-    if not cfg.surface.is_algebraic:
+    if isinstance(cfg.surface, TriMesh):
         raise ConfigError("power needs an algebraic surface, not a mesh")
     spec = KernelSpec(cfg.kernel_order)
     os.makedirs(out_dir, exist_ok=True)
     study = power_rate_study(
-        spec, cfg.surface.surface, cfg.cardinalities, cfg.seed, within=cfg.restriction
+        spec, cfg.surface, cfg.cardinalities, cfg.seed, within=cfg.restriction
     )
     for n, level in zip(study.site_counts, study.levels):
         _field_csv(
@@ -326,12 +309,12 @@ def cmd_power(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
 # --- info -----------------------------------------------------------------------
 
 def cmd_info(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
-    if not cfg.surface.is_algebraic:
+    surface = cfg.surface
+    if isinstance(surface, TriMesh):
         raise ConfigError("info needs an algebraic surface, not a mesh")
-    surface = cfg.surface.surface
     os.makedirs(out_dir, exist_ok=True)
     n = min(cfg.cardinalities)
-    cloud = cfg.surface.sample(n, cfg.seed, within=cfg.restriction)
+    cloud = cfg.sample(n, cfg.seed + cfg.cardinalities.index(n))
     evals = _sample_evals(cfg, cfg.eval_count if cfg.eval_count is not None else 512)
 
     per_degree = []

@@ -34,7 +34,7 @@ class PointCloud:
         self.points = pts
         self.points.setflags(write=False)
         self._tree = None
-        #: filled by the sampler / density_stats when available
+        #: set by the samplers; ``density_stats`` computes both for any cloud
         self.fill_distance = None
         self.separation = None
 
@@ -122,13 +122,26 @@ def _header(dim: int) -> str:
     return ",".join(f"x{i + 1}" for i in range(dim))
 
 
+def _fmt(value) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return f"{float(value):.17g}"
+
+
+def _write_csv(path, header, rows) -> None:
+    """Write the header names and rows as CSV, every float to 17 digits."""
+    lines = [",".join(header)]
+    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def save_csv(cloud, path) -> None:
     """Write a cloud (or bare coordinate array) as headered full-precision CSV."""
     pts = cloud.points if isinstance(cloud, PointCloud) else np.atleast_2d(cloud)
-    lines = [_header(pts.shape[1])]
-    lines.extend(",".join(f"{v:.17g}" for v in row) for row in pts)
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(path, [_header(pts.shape[1])], pts)
 
 
 def load_csv(path) -> PointCloud:

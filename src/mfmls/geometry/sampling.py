@@ -294,10 +294,12 @@ def _initial_radius(cands: np.ndarray, n_target: int) -> float:
 def _calibrated_packing(cands: np.ndarray, n_target: int) -> np.ndarray:
     """Greedy packing of ``cands`` with within 8% of ``n_target`` points.
 
-    The separation radius is rescaled by sqrt(count / n_target) for up to
-    ``_RESCALE_PASSES`` passes. When the count keeps jumping across the
-    window instead, the radius is bisected between the largest radius that
-    gave too many points and the smallest that gave too few.
+    The separation radius is rescaled by count / n_target on a plane curve,
+    where the packing count scales like 1/radius, and by its square root
+    otherwise, for up to ``_RESCALE_PASSES`` passes. When the count keeps
+    jumping across the window instead, the radius is bisected between the
+    largest radius that gave too many points and the smallest that gave
+    too few.
     """
     radius = _initial_radius(cands, n_target)
     too_small, too_large = 0.0, math.inf
@@ -315,7 +317,8 @@ def _calibrated_packing(cands: np.ndarray, n_target: int) -> np.ndarray:
         else:
             too_large = min(too_large, radius)
         if calib_pass + 1 < _RESCALE_PASSES:
-            radius *= math.sqrt(len(idx) / n_target)
+            ratio = len(idx) / n_target
+            radius *= ratio if cands.shape[1] == 2 else math.sqrt(ratio)
         elif 0.0 < too_small < too_large < math.inf:
             radius = 0.5 * (too_small + too_large)
         else:

@@ -21,9 +21,10 @@ import mfmls
 from mfmls.cli.config import TARGETS, parse_config
 from mfmls.cli.main import main, resolve_threads
 from mfmls.errors import ConfigError
-from mfmls.geometry.cloud import BallRestriction
+from mfmls.geometry.cloud import BallRestriction, load_csv
 from mfmls.geometry.sampling import sample_quasi_uniform
 from mfmls.geometry.presets import cyclide_patch_center
+from mfmls.geometry.surface import AlgebraicSurface
 from mfmls.mls import select_delta
 from mfmls.polybasis import basis_size
 from mfmls.rbf import KernelSpec, matern_eval
@@ -171,9 +172,9 @@ def test_raw_coefficient_surface(tmp_path):
         "bbox": [[-1.1, -1.1, -1.1], [1.1, 1.1, 1.1]],
     }
     parsed = parse_config(cfg)
-    assert parsed.surface.is_algebraic
-    assert parsed.surface.surface.degree == 2
-    cloud = parsed.surface.sample(50, seed=1)
+    assert isinstance(parsed.surface, AlgebraicSurface)
+    assert parsed.surface.degree == 2
+    cloud = parsed.sample(50, seed=1)
     radii = np.linalg.norm(cloud.points, axis=1)
     assert np.abs(radii - 1.0).max() < 1e-9
 
@@ -233,6 +234,16 @@ def test_sample_deterministic_and_summarized(tmp_path, capsys):
     file_b = (out_b / "points_N100.csv").read_bytes()
     assert file_a == file_b
     assert len(file_a.splitlines()) == summary["n_points"] + 1
+
+
+def test_sampling_failure_exits_1(tmp_path, capsys):
+    cfg_path = write_config(
+        tmp_path, restriction={"center": [100.0, 100.0, 100.0], "radius": 1.0}
+    )
+    assert main(["sample", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "error: SamplingFailed: restriction ball does not meet the surface bounding box\n"
+    )
 
 
 def test_negative_seed_flag_exits_2(tmp_path, capsys):
@@ -370,12 +381,12 @@ def test_convergence_deltas_rederivable(conv_run):
     # The emitted delta must equal the documented policy applied to the
     # deterministically re-derived cloud and eval set, digit for digit.
     cfg = parse_config(json.loads(open(conv_run["cfg_path"]).read()))
-    evals = cfg.surface.sample(cfg.eval_count, cfg.seed + 999983)
+    evals = cfg.sample(cfg.eval_count, cfg.seed + 999983)
     _, rows = _read_csv_rows(conv_run["out"] / "results.csv")
     for row in rows:
         m, n = int(row[1]), int(row[2])
         idx = cfg.cardinalities.index(n)
-        cloud = cfg.surface.sample(n, cfg.seed + idx)
+        cloud = cfg.sample(n, cfg.seed + idx)
         delta = select_delta(cloud, evals.points, basis_size(3, m))
         assert row[3] == f"{delta:.17g}"
 
@@ -495,10 +506,12 @@ def test_noise_requires_sigma_and_trials(tmp_path, capsys):
     assert "sigma_list" in capsys.readouterr().err
 
 
+CIRCLE = {"coefficients": {"2,0": 1.0, "0,2": 1.0, "0,0": -1.0},
+          "bbox": [[-1.1, -1.1], [1.1, 1.1]]}
+
+
 def test_field_csvs_head_coordinates_like_point_csvs(tmp_path, capsys):
-    circle = {"coefficients": {"2,0": 1.0, "0,2": 1.0, "0,0": -1.0},
-              "bbox": [[-1.1, -1.1], [1.1, 1.1]]}
-    cfg_path = write_config(tmp_path, surface=circle, degrees=[1],
+    cfg_path = write_config(tmp_path, surface=CIRCLE, degrees=[1],
                             cardinalities=[40, 50, 120], eval_count=100,
                             kernel_order=3)
     out = tmp_path / "out"
@@ -508,6 +521,16 @@ def test_field_csvs_head_coordinates_like_point_csvs(tmp_path, capsys):
     for name in ("lebesgue_field_m1_N40.csv", "power_field_N40.csv",
                  "power_sites_N40.csv"):
         assert (out / name).read_text().startswith("x,y,value\n"), name
+
+
+@pytest.mark.parametrize("command", ["convergence", "noise"])
+def test_named_target_outside_r3_exits_2(tmp_path, capsys, command):
+    # The named targets read x, y and z; a plane curve has no z.
+    cfg_path = write_config(tmp_path, surface=CIRCLE, sigma_list=[0.0], trials=2)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg_path, "--out", str(out)]) == 2
+    assert "R^2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # --- power -----------------------------------------------------------------------
@@ -608,6 +631,30 @@ def test_info_reports_dimensions(tmp_path, capsys):
         assert 0 < entry["observed_median_rank"] <= entry["restricted_dim"]
     on_disk = json.loads((out / "info.json").read_text())
     assert on_disk == info
+
+
+def test_info_fits_the_cloud_sample_writes(tmp_path, monkeypatch):
+    # info fits the smallest cardinality's cloud, drawn from seed + index as
+    # for every other command, here from seed + 1.
+    import mfmls.cli.runner as runner
+
+    fitted = []
+    real = runner.shape_function_matrix
+
+    def recording(cloud, *args, **kwargs):
+        fitted.append(cloud.points)
+        return real(cloud, *args, **kwargs)
+
+    monkeypatch.setattr(runner, "shape_function_matrix", recording)
+    cfg_path = write_config(
+        tmp_path, surface={"preset": "cyclide"}, degrees=[1],
+        cardinalities=[800, 400], eval_count=100, seed=11,
+    )
+    out = tmp_path / "out"
+    assert main(["info", "--config", cfg_path, "--out", str(out)]) == 0
+    assert main(["sample", "--config", cfg_path, "--out", str(out)]) == 0
+    assert len(fitted) == 1
+    assert np.array_equal(fitted[0], load_csv(out / "points_N400.csv").points)
 
 
 def test_power_byte_deterministic_across_runs_and_threads(tmp_path):
@@ -711,6 +758,53 @@ def test_cell_linalg_error_lands_in_manifest(tmp_path, monkeypatch, command, thr
     if command == "lebesgue":
         fields = {name for name in os.listdir(out) if name.startswith("lebesgue_field_")}
         assert fields == {f"lebesgue_field_{cell}.csv" for cell in kept}
+
+
+def test_failed_evaluation_points_keep_the_row(tmp_path, monkeypatch):
+    # Every point fails at m=1, and the first point fails in two of the
+    # three m=0 cells: the rows stay, the manifest names each cell, and
+    # the slope fit sees no m=1 cell and one m=0 cell.
+    import mfmls.cli.runner as runner
+
+    real = runner.mls_evaluate
+    n_eval = []
+
+    def failing_points(cloud, values, points, config):
+        approx, diag = real(cloud, values, points, config)
+        n_eval.append(len(points))
+        mask = np.zeros(len(points), dtype=bool)
+        if config.degree == 1:
+            mask[:] = True
+        elif len(cloud) < 200:
+            mask[0] = True
+        diag.failed[mask] = True
+        diag.rank[mask] = 0
+        diag.lebesgue[mask] = np.nan
+        approx[mask] = np.nan
+        return approx, diag
+
+    monkeypatch.setattr(runner, "mls_evaluate", failing_points)
+    cfg_path = write_config(tmp_path, cardinalities=[60, 120, 240], eval_count=200)
+    out = tmp_path / "out"
+    assert main(["convergence", "--config", cfg_path, "--out", str(out)]) == 1
+    _, rows = _read_csv_rows(out / "results.csv")
+    assert [row[0] for row in rows] == [
+        "m0_N60", "m0_N120", "m0_N240", "m1_N60", "m1_N120", "m1_N240"]
+    assert [row[9] for row in rows[3:]] == ["0:0:0"] * 3
+    assert all(row[6] == "nan" for row in rows[3:])
+    errors = json.loads((out / "errors.json").read_text())
+    every = n_eval[0]
+    assert errors == [
+        {"cell": cell, "error": "EvaluationFailed",
+         "message": f"{count} evaluation point(s) failed"}
+        for cell, count in [("m0_N60", 1), ("m0_N120", 1), ("m1_N60", every),
+                            ("m1_N120", every), ("m1_N240", every)]
+    ]
+    rates = json.loads((out / "rates.json").read_text())["rates"]
+    assert rates == [
+        {"m": 0, "n_cells": 1, "exact": False, "slope": None, "flag": "too-few-cells"},
+        {"m": 1, "n_cells": 0, "exact": False, "slope": None, "flag": "no-usable-cells"},
+    ]
 
 
 def test_cells_run_in_the_callers_context(tmp_path, monkeypatch):

@@ -3,9 +3,11 @@ import functools
 import numpy as np
 import pytest
 
+from mfmls.errors import SamplingFailed
 from mfmls.geometry import presets, sampling
 from mfmls.geometry.cloud import BallRestriction, density_stats, restrict, save_csv
 from mfmls.geometry.sampling import _greedy_thin, sample_quasi_uniform
+from mfmls.geometry.surface import AlgebraicSurface
 
 
 def test_sphere_card_and_residuals():
@@ -112,6 +114,52 @@ def test_calibration_settles_when_rescaling_oscillates(preset, seed):
     assert abs(len(cloud) - 30) <= 0.08 * 30
     assert cloud.fill_distance / cloud.separation <= 4.0
     assert np.abs(s.eval(cloud.points)).max() <= 1e-10 * s.coeff_scale
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_calibration_settles_on_a_plane_curve(seed):
+    # A packing of a curve holds about length / radius points, so the
+    # radius must be rescaled linearly in count / n there.
+    circle = AlgebraicSurface.from_coefficients(
+        2, {(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0}, [[-1.1, -1.1], [1.1, 1.1]])
+    cloud = sample_quasi_uniform(circle, 30, seed=seed)
+    assert abs(len(cloud) - 30) <= 0.08 * 30
+    assert cloud.fill_distance / cloud.separation <= 4.0
+
+
+def _force_sparse_packings(monkeypatch, bad_attempts):
+    """Record each candidate pool size, and report h/q = 5 for the first
+    ``bad_attempts`` packings."""
+    pools = []
+    real_candidates, real_packed = sampling._shell_candidates, sampling._packed_cloud
+
+    def candidates(surface, n_cand, rng, within):
+        pools.append(n_cand)
+        return real_candidates(surface, n_cand, rng, within)
+
+    def packed(pool, idx):
+        cloud = real_packed(pool, idx)
+        if len(pools) <= bad_attempts:
+            cloud.fill_distance = 5.0 * cloud.separation
+        return cloud
+
+    monkeypatch.setattr(sampling, "_shell_candidates", candidates)
+    monkeypatch.setattr(sampling, "_packed_cloud", packed)
+    return pools
+
+
+def test_sparse_packing_retries_on_a_doubled_pool(monkeypatch):
+    pools = _force_sparse_packings(monkeypatch, bad_attempts=1)
+    cloud = sample_quasi_uniform(presets.sphere(), 100, seed=7)
+    assert pools == [4000, 8000]
+    assert cloud.fill_distance / cloud.separation <= 4.0
+
+
+def test_sparse_packing_fails_after_three_pools(monkeypatch):
+    pools = _force_sparse_packings(monkeypatch, bad_attempts=3)
+    with pytest.raises(SamplingFailed, match="fill/separation ratio above 4"):
+        sample_quasi_uniform(presets.sphere(), 100, seed=7)
+    assert pools == [4000, 8000, 16000]
 
 
 def brute_force_greedy_thin(points, radius, limit=None):
