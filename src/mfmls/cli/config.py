@@ -102,6 +102,14 @@ def _as_number(value, where: str) -> float:
     return float(value)
 
 
+def _built(make, where: str, *args, **kwargs):
+    """``make(*args, **kwargs)``, raising its ``ValueError`` as a ConfigError."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
 def _int_list(value, where: str, minimum: int) -> tuple[int, ...]:
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{where} must be a nonempty list")
@@ -127,11 +135,7 @@ def _parse_surface(spec, where: str = "surface") -> AlgebraicSurface | TriMesh:
                 key: _as_number(spec[key], f"{where}.{key}")
                 for key in params if key in spec
             }
-            try:
-                surface = make(**kwargs)
-            except ValueError as exc:
-                raise ConfigError(f"{where}: {exc}") from None
-            return surface
+            return _built(make, where, **kwargs)
         if name == "mesh":
             _check_keys(spec, {"preset", "path"}, {"preset", "path"}, where)
             path = spec["path"]
@@ -177,7 +181,7 @@ def _parse_surface(spec, where: str = "surface") -> AlgebraicSurface | TriMesh:
             )
         if not (np.isfinite(bbox).all() and np.all(bbox[0] < bbox[1])):
             raise ConfigError(f"{where}.bbox corners must be finite, the lower below the upper")
-        return AlgebraicSurface.from_coefficients(dim, parsed, bbox)
+        return _built(AlgebraicSurface.from_coefficients, where, dim, parsed, bbox)
     raise ConfigError(f"{where} needs either a 'preset' or raw 'coefficients'")
 
 
@@ -200,10 +204,7 @@ def _parse_restriction(
                 f"{where}.center 'patch' is only defined for the cyclide preset"
             )
         params = {k: v for k, v in surface_spec.items() if k != "preset"}
-        try:
-            center = cyclide_patch_center(**params)
-        except ValueError as exc:
-            raise ConfigError(f"{where}.center 'patch': {exc}") from None
+        center = _built(cyclide_patch_center, f"{where}.center 'patch'", **params)
     else:
         if not isinstance(center, list):
             raise ConfigError(f"{where}.center must be 'patch' or a coordinate list")

@@ -34,7 +34,9 @@ class PointCloud:
         self.points = pts
         self.points.setflags(write=False)
         self._tree = None
-        #: set by the samplers; ``density_stats`` computes both for any cloud
+        #: Set by the samplers: ``fill_distance`` is the pool fill (largest
+        #: candidate-to-cloud distance), at most ``separation`` from
+        #: ``sample_quasi_uniform``. ``density_stats`` measures h against probes.
         self.fill_distance = None
         self.separation = None
 

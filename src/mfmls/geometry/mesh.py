@@ -9,7 +9,7 @@ import numpy as np
 
 from ..errors import EmptyMesh, MeshFormatError, SamplingFailed
 from .cloud import PointCloud
-from .sampling import _check_oversample, _greedy_thin, _packed_cloud
+from .sampling import _check_oversample, _greedy_thin, _packed_cloud, _packing_radius, _root
 
 
 class TriMesh:
@@ -33,9 +33,7 @@ class TriMesh:
             raise MeshFormatError(f"triangles must be (m, 3), got {triangles.shape}")
         if len(triangles) and (triangles.min() < 0 or triangles.max() >= len(vertices)):
             raise MeshFormatError("triangle index out of range")
-        a = vertices[triangles[:, 0]] if len(triangles) else np.empty((0, 3))
-        b = vertices[triangles[:, 1]] if len(triangles) else np.empty((0, 3))
-        c = vertices[triangles[:, 2]] if len(triangles) else np.empty((0, 3))
+        a, b, c = vertices[triangles].transpose(1, 0, 2)
         areas = 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
         scale = float(np.ptp(vertices, axis=0).max()) if len(vertices) else 1.0
         keep = areas > 1e-12 * scale * scale
@@ -136,18 +134,16 @@ def sample_mesh(mesh: TriMesh, n: int, seed: int, *, oversample: float = 20.0) -
     uv = rng.random((pool_size, 2))
     flip = uv.sum(axis=1) > 1.0
     uv[flip] = 1.0 - uv[flip]
-    a = mesh.vertices[mesh.triangles[tri_ids, 0]]
-    b = mesh.vertices[mesh.triangles[tri_ids, 1]]
-    c = mesh.vertices[mesh.triangles[tri_ids, 2]]
+    a, b, c = mesh.vertices[mesh.triangles[tri_ids]].transpose(1, 0, 2)
     pool = a + uv[:, :1] * (b - a) + uv[:, 1:] * (c - a)
 
-    radius = math.sqrt(0.69 * mesh.total_area / n)
+    radius = _packing_radius(mesh.total_area, n, 2)
     floor = 0.25 * radius
     for _ in range(10):
         idx = _greedy_thin(pool, radius, limit=n)
         if len(idx) == n:
             return _packed_cloud(pool, idx)
-        radius *= max(math.sqrt(len(idx) / n) * 0.99, 0.5)
+        radius *= max(_root(len(idx) / n, 2) * 0.99, 0.5)
         if radius < floor:
             raise SamplingFailed(
                 f"cannot place {n} points at reasonable spacing; "

@@ -14,8 +14,8 @@ array spans the chunk. The draws, the stream left behind and the cloud do
 not depend on the number of workers. The k-d tree queries of the
 calibration and of the packing statistics use the same workers. One
 thinning scan, behind a batched k-d tree prefilter that drops clear
-rejections in bulk, serves every ambient dimension; ``sample_mesh``
-shares it and the packing epilogue (``_packed_cloud``).
+rejections in bulk, serves every dimension; ``sample_mesh`` shares it,
+the packing rule (``_packing_radius``) and the epilogue (``_packed_cloud``).
 """
 
 from __future__ import annotations
@@ -52,6 +52,10 @@ _MAX_DRAW_FACTOR = 20_000
 # the points accepted so far; batches double from the first size to the cap.
 _THIN_BATCH_FIRST = 1 << 10
 _THIN_BATCH_MAX = 1 << 14
+# (kappa_d, c_d) of _calibrated_packing by intrinsic dimension d; larger d use
+# the last row.
+_PACKING = {1: (2.0, 0.7476), 2: (4.0, 0.69), 3: (5.883, 0.7336), 4: (7.311, 0.843),
+            5: (8.067, 1.038)}
 
 
 def _shell_candidates(
@@ -140,8 +144,7 @@ def _shell_candidates(
                 n_kept += len(pts)
             if n_kept >= n_cand:
                 break
-    out = np.concatenate(kept)[:n_cand]
-    return np.ascontiguousarray(out)
+    return np.concatenate(kept)[:n_cand]
 
 
 def _prefiltered(points: np.ndarray, radius: float, accepted: list[int]):
@@ -263,45 +266,47 @@ def _packed_cloud(pool: np.ndarray, idx: np.ndarray) -> PointCloud:
     workers = _workers.worker_count()
     d, _ = cloud.tree.query(pool, k=1, workers=workers)
     cloud.fill_distance = float(d.max())
-    if len(pts) > 1:
-        dd, _ = cloud.tree.query(pts, k=2, workers=workers)
-        cloud.separation = float(dd[:, 1].min())
-    else:
-        cloud.separation = np.inf
+    # A lone point's second neighbour is missing, at distance inf.
+    dd, _ = cloud.tree.query(pts, k=2, workers=workers)
+    cloud.separation = float(dd[:, 1].min())
     return cloud
 
 
-def _initial_radius(cands: np.ndarray, n_target: int) -> float:
-    """Separation radius guess from the candidate nearest-neighbour scale.
-
-    For points of intensity ``lam`` on a 2-manifold the mean nearest-neighbour
-    distance is ``1/(2 sqrt(lam))``, giving an area estimate; greedy packings
-    of dense candidate sets jam near 54% disk coverage, so the packing count
-    at radius q is about ``0.69 * area / q**2``. In practice the first pass
-    at this radius keeps about 0.89 n points (0.83-0.97 n over sphere, torus,
-    cyclide and patch samples), outside the 8% window, so two thinning
-    passes are usual; the k-d prefilter in ``_greedy_thin`` makes the second
-    pass cheap.
-    """
-    sub = cands[: min(len(cands), 50_000)]
-    tree = cKDTree(sub)
-    d, _ = tree.query(sub, k=2, workers=_workers.worker_count())
-    dbar = float(d[:, 1].mean())
-    area = 4.0 * len(sub) * dbar * dbar
-    return math.sqrt(0.69 * area / n_target)
+def _root(x: float, d: int) -> float:
+    """``x ** (1/d)``, by ``math.sqrt`` at d = 2, whose bits pow need not match."""
+    return math.sqrt(x) if d == 2 else x ** (1.0 / d)
 
 
-def _calibrated_packing(cands: np.ndarray, n_target: int) -> np.ndarray:
+def _packing_radius(volume: float, n: int, d: int) -> float:
+    """Radius at which a greedy packing of this d-volume holds about n points."""
+    return _root(_PACKING[min(d, len(_PACKING))][1] * volume / n, d)
+
+
+def _calibrated_packing(cands: np.ndarray, n_target: int, d: int) -> np.ndarray:
     """Greedy packing of ``cands`` with within 8% of ``n_target`` points.
 
-    The separation radius is rescaled by count / n_target on a plane curve,
-    where the packing count scales like 1/radius, and by its square root
-    otherwise, for up to ``_RESCALE_PASSES`` passes. When the count keeps
-    jumping across the window instead, the radius is bisected between the
-    largest radius that gave too many points and the smallest that gave
-    too few.
+    The first radius comes from the candidates' nearest-neighbour scale. N
+    Poisson points on a d-manifold of volume V lie a mean ``dbar = Gamma(1 +
+    1/d) (V / (omega_d N))**(1/d)`` from their nearest neighbours (``omega_d``:
+    unit d-ball volume), so ``V = kappa_d N dbar**d``. A greedy packing of a
+    dense pool covers about the random sequential addition fraction ``phi_d``
+    of V: ``c_d V / q**d`` points at radius q, ``c_d = 2**d phi_d / omega_d``.
+    ``phi_d`` is Renyi's 0.7476 at d = 1 and 0.3841, 0.2600, 0.1707 at d = 3,
+    4, 5 (Torquato, Uche & Stillinger, Phys. Rev. E 74, 061308, 2006). At
+    d = 2, ``kappa_2 = 4`` and ``c_2`` is measured (54% disk cover), and
+    in R^3 the first pass keeps 0.83-0.97 n points, so two passes are usual.
+
+    The radius is then rescaled by the d-th root of count / n_target, for up
+    to ``_RESCALE_PASSES`` passes. When the count keeps jumping across the
+    window instead, the radius is bisected between the largest radius that
+    gave too many points and the smallest that gave too few.
     """
-    radius = _initial_radius(cands, n_target)
+    sub = cands[: min(len(cands), 50_000)]
+    # One expression, so no query array outlives it into the thinning passes.
+    dbar = float(cKDTree(sub).query(sub, k=2, workers=_workers.worker_count())[0][:, 1].mean())
+    # Left to right, so d = 2 multiplies 4.0 * N * dbar * dbar.
+    volume = math.prod((_PACKING[min(d, len(_PACKING))][0], len(sub)) + (dbar,) * d)
+    radius = _packing_radius(volume, n_target, d)
     too_small, too_large = 0.0, math.inf
     for calib_pass in range(_RESCALE_PASSES + _BISECT_PASSES):
         idx = _greedy_thin(cands, radius)
@@ -317,8 +322,7 @@ def _calibrated_packing(cands: np.ndarray, n_target: int) -> np.ndarray:
         else:
             too_large = min(too_large, radius)
         if calib_pass + 1 < _RESCALE_PASSES:
-            ratio = len(idx) / n_target
-            radius *= ratio if cands.shape[1] == 2 else math.sqrt(ratio)
+            radius *= _root(len(idx) / n_target, d)
         elif 0.0 < too_small < too_large < math.inf:
             radius = 0.5 * (too_small + too_large)
         else:
@@ -363,15 +367,16 @@ def sample_quasi_uniform(
     Returns
     -------
     PointCloud
-        Cloud with ``fill_distance`` (against the candidate pool) and
-        ``separation`` attributes populated.
+        Cloud with ``separation`` and ``fill_distance``, the pool fill: the
+        largest candidate-to-cloud distance. The packing drops a candidate
+        only within its radius of a kept point and keeps points that radius
+        apart, so ``fill_distance <= radius <= separation`` up to rounding.
 
     Raises
     ------
     SamplingFailed
-        If rejection sampling cannot populate the candidate pool, the
-        separation calibration does not converge, or the fill/separation
-        ratio exceeds 4 even after densifying the candidate pool.
+        If rejection sampling cannot populate the candidate pool or the
+        separation calibration does not converge.
     """
     if n_target < 1:
         raise ValueError(f"n_target must be positive, got {n_target}")
@@ -380,15 +385,7 @@ def sample_quasi_uniform(
     # A floor on the pool size keeps the area estimate and the fill probes
     # meaningful for small requests.
     n_cand = max(int(math.ceil(oversample * n_target)), 4000)
-    for attempt in range(3):
-        rng = np.random.default_rng(seed)
-        cands = _shell_candidates(surface, n_cand, rng, within)
-        if n_target == 1:
-            return _packed_cloud(cands, np.zeros(1, dtype=np.intp))
-        cloud = _packed_cloud(cands, _calibrated_packing(cands, n_target))
-        if cloud.fill_distance / cloud.separation <= 4.0:
-            return cloud
-        # Densify the pool and retry; a sparse pocket of candidates is the
-        # only way a greedy packing can leave a hole this large.
-        n_cand *= 2
-    raise SamplingFailed("fill/separation ratio above 4 despite candidate densification")
+    cands = _shell_candidates(surface, n_cand, np.random.default_rng(seed), within)
+    if n_target == 1:
+        return _packed_cloud(cands, np.zeros(1, dtype=np.intp))
+    return _packed_cloud(cands, _calibrated_packing(cands, n_target, surface.intrinsic_dim))

@@ -60,6 +60,9 @@ class AlgebraicSurface:
     Attributes
     ----------
     ambient_dim : int
+        N, at least 2.
+    intrinsic_dim : int
+        N - 1, the dimension of the zero set where grad P does not vanish.
     exponents : (T, N) int array
         Exponent multi-indices of the nonzero terms.
     coeffs : (T,) float array
@@ -71,6 +74,8 @@ class AlgebraicSurface:
     """
 
     def __init__(self, ambient_dim, exponents, coeffs, bbox):
+        if ambient_dim < 2:
+            raise ValueError(f"ambient dimension must be at least 2, got {ambient_dim}")
         exponents = np.asarray(exponents, dtype=np.int64).reshape(-1, ambient_dim)
         coeffs = np.asarray(coeffs, dtype=np.float64).reshape(-1)
         keep = coeffs != 0.0
@@ -79,6 +84,7 @@ class AlgebraicSurface:
             raise ValueError("surface polynomial is identically zero")
         order = np.lexsort(tuple(exponents.T[::-1]) + (exponents.sum(axis=1),))
         self.ambient_dim = int(ambient_dim)
+        self.intrinsic_dim = self.ambient_dim - 1
         self.exponents = exponents[order]
         self.coeffs = coeffs[order]
         self.bbox = np.asarray(bbox, dtype=np.float64).reshape(2, ambient_dim)
@@ -96,10 +102,7 @@ class AlgebraicSurface:
     @classmethod
     def from_coefficients(cls, ambient_dim, coeff_map, bbox):
         """Build from a {exponent tuple: coefficient} mapping."""
-        items = sorted(coeff_map.items())
-        exps = [tuple(int(e) for e in k) for k, _ in items]
-        return cls(ambient_dim, np.array(exps, dtype=np.int64).reshape(-1, ambient_dim),
-                   [v for _, v in items], bbox)
+        return cls(ambient_dim, list(coeff_map), list(coeff_map.values()), bbox)
 
     def eval(self, points) -> np.ndarray:
         """P at each point; shape (n,)."""

@@ -189,6 +189,21 @@ def test_bad_coefficient_key(tmp_path):
         parse_config(cfg)
 
 
+@pytest.mark.parametrize(
+    "surface, message",
+    [({"coefficients": {"2": 1.0, "0": -0.25}, "bbox": [[-1], [1]]}, "at least 2"),
+     ({"coefficients": {"2,0,0": 0.0}, "bbox": [[-1, -1, -1], [1, 1, 1]]}, "identically zero")],
+    ids=["one-variable", "all-zero"],
+)
+def test_polynomial_without_a_surface_exits_2(tmp_path, capsys, surface, message):
+    # A polynomial in one variable vanishes at finitely many points, and the
+    # zero polynomial everywhere: neither zero set is a manifold to sample.
+    cfg_path = write_config(tmp_path, surface=surface)
+    assert main(["sample", "--config", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+
+
 def test_patch_restriction_needs_cyclide(tmp_path):
     cfg = base_config(tmp_path, restriction={"center": "patch", "radius": 1.0})
     with pytest.raises(ConfigError, match="cyclide"):

@@ -2,8 +2,9 @@ import functools
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
+from scipy.spatial.distance import pdist
 
-from mfmls.errors import SamplingFailed
 from mfmls.geometry import presets, sampling
 from mfmls.geometry.cloud import BallRestriction, density_stats, restrict, save_csv
 from mfmls.geometry.sampling import _greedy_thin, sample_quasi_uniform
@@ -116,50 +117,75 @@ def test_calibration_settles_when_rescaling_oscillates(preset, seed):
     assert np.abs(s.eval(cloud.points)).max() <= 1e-10 * s.coeff_scale
 
 
+def _unit_sphere(k):
+    """The unit sphere in R^k, a (k - 1)-manifold."""
+    coeffs = {tuple(2 * (j == i) for j in range(k)): 1.0 for i in range(k)}
+    coeffs[(0,) * k] = -1.0
+    return AlgebraicSurface.from_coefficients(k, coeffs, [[-1.1] * k, [1.1] * k])
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_calibration_settles_on_a_plane_curve(seed):
     # A packing of a curve holds about length / radius points, so the
     # radius must be rescaled linearly in count / n there.
-    circle = AlgebraicSurface.from_coefficients(
-        2, {(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0}, [[-1.1, -1.1], [1.1, 1.1]])
-    cloud = sample_quasi_uniform(circle, 30, seed=seed)
+    cloud = sample_quasi_uniform(_unit_sphere(2), 30, seed=seed)
     assert abs(len(cloud) - 30) <= 0.08 * 30
     assert cloud.fill_distance / cloud.separation <= 4.0
 
 
-def _force_sparse_packings(monkeypatch, bad_attempts):
-    """Record each candidate pool size, and report h/q = 5 for the first
-    ``bad_attempts`` packings."""
-    pools = []
-    real_candidates, real_packed = sampling._shell_candidates, sampling._packed_cloud
+@pytest.mark.parametrize("k", [2, 4])
+def test_calibration_passes_per_dimension(k, monkeypatch):
+    # The first radius and its rescale both take the intrinsic dimension,
+    # so a circle and the 3-sphere in R^4 settle in at most two thinning
+    # passes, as surfaces in R^3 usually do.
+    radii = []
+    thin = sampling._greedy_thin
 
-    def candidates(surface, n_cand, rng, within):
-        pools.append(n_cand)
-        return real_candidates(surface, n_cand, rng, within)
+    def counted(points, radius, limit=None):
+        radii.append(radius)
+        return thin(points, radius, limit)
 
-    def packed(pool, idx):
-        cloud = real_packed(pool, idx)
-        if len(pools) <= bad_attempts:
-            cloud.fill_distance = 5.0 * cloud.separation
-        return cloud
-
-    monkeypatch.setattr(sampling, "_shell_candidates", candidates)
-    monkeypatch.setattr(sampling, "_packed_cloud", packed)
-    return pools
-
-
-def test_sparse_packing_retries_on_a_doubled_pool(monkeypatch):
-    pools = _force_sparse_packings(monkeypatch, bad_attempts=1)
-    cloud = sample_quasi_uniform(presets.sphere(), 100, seed=7)
-    assert pools == [4000, 8000]
-    assert cloud.fill_distance / cloud.separation <= 4.0
+    monkeypatch.setattr(sampling, "_greedy_thin", counted)
+    counts = []
+    for seed in range(5):
+        radii.clear()
+        sample_quasi_uniform(_unit_sphere(k), 200, seed=seed)
+        counts.append(len(radii))
+    assert max(counts) <= 2, counts
 
 
-def test_sparse_packing_fails_after_three_pools(monkeypatch):
-    pools = _force_sparse_packings(monkeypatch, bad_attempts=3)
-    with pytest.raises(SamplingFailed, match="fill/separation ratio above 4"):
-        sample_quasi_uniform(presets.sphere(), 100, seed=7)
-    assert pools == [4000, 8000, 16000]
+_PACKED_SURFACES = {
+    "sphere": (presets.sphere, None),
+    "torus": (presets.torus, None),
+    "cyclide-ball": (presets.cyclide, BallRestriction(presets.cyclide_patch_center(), 1.0)),
+    "circle": (lambda: _unit_sphere(2), None),
+    "3-sphere": (lambda: _unit_sphere(4), None),
+}
+
+
+@pytest.mark.parametrize("n", [30, 200])
+@pytest.mark.parametrize("name", _PACKED_SURFACES)
+def test_pool_fill_never_exceeds_separation(name, n):
+    # The packing drops a candidate only within its radius of a kept point
+    # and keeps points at least that radius apart, so the pool fill is at
+    # most the radius and the radius at most the separation. A retry on
+    # h/q above any bound of at least 1 could never fire.
+    make, within = _PACKED_SURFACES[name]
+    for seed in range(3):
+        cloud = sample_quasi_uniform(make(), n, seed=seed, within=within)
+        assert cloud.fill_distance <= cloud.separation * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_greedy_thin_fill_below_radius_below_separation(dim):
+    for points, radius in _thinning_cases(dim):
+        if not len(points):
+            continue
+        kept = points[_greedy_thin(points, radius)]
+        fill, _ = cKDTree(kept).query(points)
+        assert fill.max() < radius
+        if len(kept) > 1:
+            assert pdist(kept).min() >= radius
 
 
 def brute_force_greedy_thin(points, radius, limit=None):
